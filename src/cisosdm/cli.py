@@ -355,14 +355,6 @@ def _write_rows(path: str, rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("CISO_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cisosdm", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -389,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

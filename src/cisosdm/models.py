@@ -24,6 +24,12 @@ from .numerics import Tensor
 
 FAMILIES = ("linear", "maxent", "mlp", "mlp++", "ciso")
 
+# Activation bytes one predict batch may hold. CISO's sequence has L = C + 1
+# tokens, so its attention arrays grow as rows x heads x L^2 and its batches
+# shrink as the roster widens; the other families always get MAX_PREDICT_ROWS.
+PREDICT_BUDGET_BYTES = 128 * 2**20
+MAX_PREDICT_ROWS = 1024
+
 CHECKPOINT_MAGIC = b"CISOCKPT"
 CHECKPOINT_VERSION = 1
 
@@ -72,6 +78,20 @@ class ModelSpec:
         return cls(**d)
 
 
+def predict_batch_rows(spec: ModelSpec) -> int:
+    """Rows per predict batch: as many as fit PREDICT_BUDGET_BYTES, within [1, MAX_PREDICT_ROWS]."""
+    if spec.family != "ciso":
+        return MAX_PREDICT_ROWS
+    length, d, heads = spec.n_species + 1, spec.hidden_dim, spec.heads
+    # float64 arrays alive at once in one transformer block's inference
+    # forward: the score/softmax temporaries, q/k/v with their per-head
+    # copies, and the feed-forward's GELU temporaries. It bounds the
+    # tracemalloc peak of a forward pass per row from above (C = 10..300,
+    # d = 64..256).
+    row_bytes = 8 * (3 * heads * length**2 + 4 * length * heads * d + 4 * length * 4 * d)
+    return max(1, min(MAX_PREDICT_ROWS, PREDICT_BUDGET_BYTES // row_bytes))
+
+
 def mlp_widths_for_depth(depth: int, hidden_dim: int = 256) -> tuple[int, ...]:
     """Hidden widths for a depth-ablation MLP; widths double past 3 layers."""
     if depth < 2:
@@ -109,13 +129,18 @@ class Model:
     def forward(self, env: np.ndarray, codes=None, rates=None, training=False, rng=None) -> Tensor:
         raise NotImplementedError
 
-    def predict(self, env: np.ndarray, codes=None, rates=None, batch_size: int = 512) -> np.ndarray:
-        """Tape-free batched inference; returns a (N, C) numpy matrix."""
+    def predict(self, env: np.ndarray, codes=None, rates=None, batch_size: int = MAX_PREDICT_ROWS) -> np.ndarray:
+        """Tape-free batched inference; returns a (N, C) numpy matrix.
+
+        Batches hold at most `batch_size` rows and never more than
+        :func:`predict_batch_rows` allows for this model.
+        """
         if env.shape[0] == 0:
             return np.zeros((0, self.spec.n_species))
+        rows = min(batch_size, predict_batch_rows(self.spec))
         outs = []
-        for start in range(0, env.shape[0], batch_size):
-            sl = slice(start, start + batch_size)
+        for start in range(0, env.shape[0], rows):
+            sl = slice(start, start + rows)
             c = codes[sl] if codes is not None else None
             r = rates[sl] if rates is not None else None
             outs.append(self.forward(env[sl], c, r).values)
@@ -132,7 +157,7 @@ class LinearModel(Model):
 
     def forward(self, env, codes=None, rates=None, training=False, rng=None) -> Tensor:
         x = Tensor(np.atleast_2d(env))
-        return nm.sigmoid(nm.add(nm.matmul(x, self.params["out.w"]), self.params["out.b"]))
+        return nm.sigmoid(nm.matmul(x, self.params["out.w"], self.params["out.b"]))
 
 
 class MaxentModel(Model):
@@ -146,7 +171,7 @@ class MaxentModel(Model):
 
     def forward(self, env, codes=None, rates=None, training=False, rng=None) -> Tensor:
         x = Tensor(expand(np.atleast_2d(env), self.maxent_config))
-        return nm.sigmoid(nm.add(nm.matmul(x, self.params["out.w"]), self.params["out.b"]))
+        return nm.sigmoid(nm.matmul(x, self.params["out.w"], self.params["out.b"]))
 
 
 def _trunk(rng, widths: tuple[int, ...], n_in: int, prefix: str) -> list[tuple[Tensor, Tensor]]:
@@ -163,7 +188,7 @@ def _trunk(rng, widths: tuple[int, ...], n_in: int, prefix: str) -> list[tuple[T
 
 def _run_trunk(layers, x: Tensor) -> Tensor:
     for w, b in layers:
-        x = nm.relu(nm.add(nm.matmul(x, w), b))
+        x = nm.relu(nm.matmul(x, w, b))
     return x
 
 
@@ -185,7 +210,7 @@ class MLPModel(Model):
     def forward(self, env, codes=None, rates=None, training=False, rng=None) -> Tensor:
         x = Tensor(self._input(env, codes, rates))
         h = _run_trunk(self.trunk, x)
-        return nm.sigmoid(nm.add(nm.matmul(h, self.params["out.w"]), self.params["out.b"]))
+        return nm.sigmoid(nm.matmul(h, self.params["out.w"], self.params["out.b"]))
 
 
 class MLPPlusModel(MLPModel):
@@ -239,34 +264,32 @@ class TransformerBlock:
         x = nm.reshape(x, (batch, length, self.heads, self.dim))
         return nm.transpose(x, (0, 2, 1, 3))
 
-    def attention_weights(self, x: Tensor, batch: int, length: int) -> Tensor:
-        """Row-stochastic attention matrix (B, heads, L, L); exposed for tests."""
-        a = nm.layer_norm(x, *self.ln1)
-        q = self._heads(nm.add(nm.matmul(a, self.wq), self.bq), batch, length)
-        k = self._heads(nm.add(nm.matmul(a, self.wk), self.bk), batch, length)
+    def attention_weights(self, a: Tensor) -> Tensor:
+        """Row-stochastic attention matrix (B, heads, L, L) over the
+        layer-normed tokens `a`; `forward` mixes the values with it."""
+        batch, length, _ = a.shape
+        q = self._heads(nm.matmul(a, self.wq, self.bq), batch, length)
+        k = self._heads(nm.matmul(a, self.wk, self.bk), batch, length)
         scores = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(self.dim))
         return nm.softmax_rows(scores)
 
     def forward(self, x: Tensor, training: bool, rng) -> Tensor:
         batch, length, _ = x.shape
         a = nm.layer_norm(x, *self.ln1)
-        q = self._heads(nm.add(nm.matmul(a, self.wq), self.bq), batch, length)
-        k = self._heads(nm.add(nm.matmul(a, self.wk), self.bk), batch, length)
-        v = self._heads(nm.add(nm.matmul(a, self.wv), self.bv), batch, length)
-        scores = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(self.dim))
-        attn = nm.softmax_rows(scores)
+        attn = self.attention_weights(a)
         if training and self.dropout > 0:
             attn = nm.dropout(attn, self.dropout, rng)
+        v = self._heads(nm.matmul(a, self.wv, self.bv), batch, length)
         mix = nm.matmul(attn, v)
         mix = nm.reshape(nm.transpose(mix, (0, 2, 1, 3)), (batch, length, self.heads * self.dim))
-        out = nm.add(nm.matmul(mix, self.wo), self.bo)
+        out = nm.matmul(mix, self.wo, self.bo)
         if training and self.dropout > 0:
             out = nm.dropout(out, self.dropout, rng)
         x = nm.add(x, out)
 
         f = nm.layer_norm(x, *self.ln2)
-        f = nm.gelu(nm.add(nm.matmul(f, self.wf1), self.bf1))
-        f = nm.add(nm.matmul(f, self.wf2), self.bf2)
+        f = nm.gelu(nm.matmul(f, self.wf1, self.bf1))
+        f = nm.matmul(f, self.wf2, self.bf2)
         if training and self.dropout > 0:
             f = nm.dropout(f, self.dropout, rng)
         return nm.add(x, f)

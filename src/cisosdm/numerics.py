@@ -9,6 +9,7 @@ finite-difference checks stay tight.
 from __future__ import annotations
 
 import logging
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -90,26 +91,31 @@ class _Entry:
         self.backward = backward
 
 
-_ACTIVE_TAPE: "Tape | None" = None
+class _ActiveTape(threading.local):
+    tape: "Tape | None" = None
+
+
+# One active tape per thread: inference in one thread never records onto a
+# tape that another thread is training with.
+_active = _ActiveTape()
 
 
 class Tape:
     """Records ops in execution order; the reverse of that order is the
-    backward schedule. One tape per training step, single-threaded."""
+    backward schedule. One tape per training step; a tape records only the
+    ops of the thread that entered it."""
 
     def __init__(self):
         self.entries: list[_Entry] = []
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _active.tape is not None:
             raise RuntimeError("a Tape is already active; tapes do not nest")
-        _ACTIVE_TAPE = self
+        _active.tape = self
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _active.tape = None
         return False
 
     def __len__(self) -> int:
@@ -117,10 +123,11 @@ class Tape:
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
-    """Mark `out` differentiable and push a backward rule if a tape is live."""
-    if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
+    """Mark `out` differentiable and push a backward rule if this thread has a live tape."""
+    tape = _active.tape
+    if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _ACTIVE_TAPE.entries.append(_Entry(out, inputs, backward))
+        tape.entries.append(_Entry(out, inputs, backward))
     return out
 
 
@@ -174,14 +181,24 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. Supports stacked (batched) operands via numpy matmul
-    broadcasting; gradients reduce back over broadcast axes."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product, optionally plus a bias over the last axis.
+
+    With a 2-D weight `b` (a linear layer), all leading axes of `a` are
+    flattened into one GEMM and `bias` is added in place; the backward pass
+    takes the weight gradient as one GEMM too, with no per-example stack.
+    Otherwise stacked (batched) operands broadcast as in numpy matmul and
+    gradients reduce back over broadcast axes; `bias` needs a 2-D `b`.
+    """
     a, b = as_tensor(a), as_tensor(b)
     ka = a.values.shape[-1]
     kb = b.values.shape[-2] if b.values.ndim > 1 else b.values.shape[0]
     if ka != kb:
         raise ValueError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    if b.values.ndim == 2:
+        return _linear(a, b, None if bias is None else as_tensor(bias))
+    if bias is not None:
+        raise ValueError(f"matmul bias needs a 2-D weight, got {b.shape}")
     out = Tensor(a.values @ b.values)
 
     def bwd(g):
@@ -193,6 +210,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record(out, (a, b), bwd)
+
+
+def _linear(a: Tensor, w: Tensor, bias: Tensor | None) -> Tensor:
+    """`a @ w (+ bias)` for a 2-D weight, as one 2-D GEMM over all leading axes of `a`."""
+    n_out = w.shape[1]
+    if bias is not None and bias.shape != (n_out,):
+        raise ValueError(f"matmul bias shape {bias.shape} does not match output width {n_out}")
+    a2 = a.values.reshape(-1, a.shape[-1])
+    out2 = a2 @ w.values
+    if bias is not None:
+        out2 += bias.values
+    out = Tensor(out2.reshape(a.shape[:-1] + (n_out,)))
+
+    def bwd(g):
+        g2 = g.reshape(-1, n_out)
+        ga = (g2 @ w.values.T).reshape(a.shape) if a.requires_grad else None
+        gw = a2.T @ g2 if w.requires_grad else None
+        if bias is None:
+            return ga, gw
+        return ga, gw, (g2.sum(axis=0) if bias.requires_grad else None)
+
+    return _record(out, (a, w) if bias is None else (a, w, bias), bwd)
 
 
 def add(a, b) -> Tensor:
@@ -325,23 +364,6 @@ def softmax_rows(x: Tensor) -> Tensor:
         return (s * (g - dot),)
 
     return _record(out, (x,), bwd)
-
-
-_ELEMENTWISE = {}
-
-
-def elementwise(kind: str, *operands) -> Tensor:
-    """Dispatch by op-kind name; the named functions are equivalent."""
-    try:
-        fn = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise kind {kind!r}") from None
-    return fn(*operands)
-
-
-_ELEMENTWISE.update(
-    {"add": add, "mul": mul, "relu": relu, "sigmoid": sigmoid, "log": log, "softmax-rows": softmax_rows}
-)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

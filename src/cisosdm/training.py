@@ -23,7 +23,7 @@ from .dataio import Dataset, apply_norm, fit_norm
 from .encoding import assign_states
 from .features import fit_maxent
 from .metrics import EvalReport, evaluate_matrix, macro_auc, topk_adaptive
-from .models import Model, ModelSpec, TrainedModel, build_model
+from .models import Model, ModelSpec, TrainedModel, build_model, predict_batch_rows
 
 log = logging.getLogger(__name__)
 
@@ -226,7 +226,8 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
     return tm, history
 
 
-def _predict_with_states(model: Model, env: np.ndarray, codes, rates, batch_size: int = 1024) -> np.ndarray:
+def _predict_with_states(model: Model, env: np.ndarray, codes, rates) -> np.ndarray:
+    batch_size = predict_batch_rows(model.spec)
     if not model.spec.uses_states:
         return model.predict(env, batch_size=batch_size)
     c = model.spec.n_species

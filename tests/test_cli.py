@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import cisosdm
 from cisosdm import cli
 
 
@@ -260,5 +261,20 @@ class TestErrors:
     def test_thread_cap_env_applied(self, monkeypatch):
         monkeypatch.setenv("CISO_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        cli._apply_thread_cap()
+        cisosdm._apply_thread_cap()
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads through Linux /proc")
+    def test_thread_cap_limits_blas_threads_through_cli_import(self):
+        # BLAS sizes its thread pool when numpy loads, which importing the CLI does.
+        thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+        env["CISO_THREADS"] = "1"
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cisosdm.__file__))
+        code = (
+            "import os, cisosdm.cli, numpy as np; a = np.ones((400, 400)); a @ a; "
+            "print(len(os.listdir('/proc/self/task')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == 1

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -158,7 +160,7 @@ class TestCISO:
         z = nm.reshape(nm.Tensor(np.zeros((3, 8))), (3, 1, 8))
         x = nm.concat([z, tokens], axis=1)
         for blk in m.blocks:
-            w = blk.attention_weights(x, 3, 5).values
+            w = blk.attention_weights(nm.layer_norm(x, *blk.ln1)).values
             assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-6
             x = blk.forward(x, False, None)
 
@@ -174,6 +176,58 @@ class TestCISO:
         m = models.build_model(toy_spec("ciso", encoding=mode), seed=10)
         env, *_, codes, rates = toy_batch(seed=11)
         assert m.forward(env, codes, rates).shape == (3, 4)
+
+
+class TestPredictBudget:
+    def test_budget_batches_match_single_rows(self):
+        spec = toy_spec("ciso", n_species=40, hidden_dim=64, heads=4, transformer_layers=1)
+        rows = models.predict_batch_rows(spec)
+        m = models.build_model(spec, seed=12)
+        env, _, _, _, codes, rates = toy_batch(seed=13, n=rows + 5, n_species=40)
+        batched = m.predict(env, codes, rates)
+        single = m.predict(env, codes, rates, batch_size=1)
+        assert 1 < rows < env.shape[0]
+        assert np.abs(batched - single).max() <= 1e-12
+
+    def test_rows_follow_roster_width(self):
+        def ciso(c, d):
+            return models.predict_batch_rows(models.ModelSpec(family="ciso", n_species=c, n_env=5, hidden_dim=d))
+
+        assert ciso(10, 64) >= 312
+        assert 32 <= ciso(100, 64) <= 64
+        assert ciso(3951, 256) >= 1
+        for family in ("linear", "maxent", "mlp", "mlp++"):
+            spec = models.ModelSpec(family=family, n_species=3951, n_env=5)
+            assert models.predict_batch_rows(spec) == models.MAX_PREDICT_ROWS == 1024
+
+    def test_concurrent_predict_records_nothing_on_training_tape(self):
+        m = models.build_model(toy_spec("ciso", dropout=0.1), seed=14)
+        env, targets, available, known, codes, rates = toy_batch(seed=15, n=8)
+        errors = []
+
+        def infer():
+            try:
+                for _ in range(20):
+                    m.predict(env, codes, rates)
+                with nm.Tape() as own:  # tapes are per thread, so this one does not nest
+                    m.forward(env, codes, rates)
+                    assert len(own) > 0
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        with nm.Tape() as tape:
+            pred = m.forward(env, codes, rates, training=True, rng=np.random.default_rng(16))
+            entries = len(tape)
+            workers = [threading.Thread(target=infer) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            assert len(tape) == entries
+            assert errors == []
+            nm.backward(tape, nm.bce_masked(pred, targets, available & ~known))
+        assert all(p.grad is not None for p in m.params.values())
 
 
 class TestGradients:

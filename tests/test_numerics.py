@@ -44,14 +44,6 @@ def test_sigmoid_relu_softmax_values():
     assert np.allclose(nm.softmax_rows(nm.Tensor([0.0, 0.0, 0.0])).values, [1 / 3] * 3)
 
 
-def test_elementwise_dispatcher_matches_functions():
-    x = nm.Tensor([[0.3, -1.2]])
-    assert np.array_equal(nm.elementwise("relu", x).values, nm.relu(x).values)
-    assert np.array_equal(nm.elementwise("sigmoid", x).values, nm.sigmoid(x).values)
-    with pytest.raises(ValueError):
-        nm.elementwise("conv", x)
-
-
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
 def test_softmax_rows_sum_to_one(values):
     s = nm.softmax_rows(nm.Tensor(values)).values
@@ -180,6 +172,27 @@ class TestBackward:
             return nm.bce_masked(p, y, np.ones_like(y, dtype=bool))
 
         check_gradients(loss, params)
+
+
+@pytest.mark.parametrize("a_shape", [(3, 4, 5), (6, 5)], ids=["batched", "2d"])
+def test_matmul_bias_is_one_node_matching_oracle(a_shape):
+    rng = np.random.default_rng(4)
+    a = nm.Tensor(rng.normal(size=a_shape), requires_grad=True)
+    w = nm.Tensor(rng.normal(scale=0.5, size=(5, 3)), requires_grad=True)
+    b = nm.Tensor(rng.normal(scale=0.2, size=3), requires_grad=True)
+    with nm.Tape() as tape:
+        out = nm.matmul(a, w, b)
+        assert len(tape) == 1
+    assert np.allclose(out.values, a.values @ w.values + b.values, rtol=0, atol=1e-12)
+    check_gradients(lambda: nm.sum_all(nm.gelu(nm.matmul(a, w, b))), {"a": a, "w": w, "b": b})
+
+
+def test_matmul_bias_rejects_mismatched_or_batched_operands():
+    a = nm.Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ValueError, match="bias shape"):
+        nm.matmul(a, nm.Tensor(np.ones((4, 2))), nm.Tensor(np.ones(3)))
+    with pytest.raises(ValueError, match="2-D weight"):
+        nm.matmul(a, nm.Tensor(np.ones((2, 4, 2))), nm.Tensor(np.ones(2)))
 
 
 @pytest.mark.parametrize("op", ["gelu", "layer_norm", "softmax_rows", "log", "sin", "cos", "transpose_concat"])
