@@ -53,7 +53,9 @@ def _sidecar(path: str, explicit: str | None) -> str | None:
 
 def _load_dataset(config: dict, key: str = "dataset", config_key: str = "dataset_config") -> dataio.Dataset:
     path = config[key]
-    return dataio.load_dataset(path, _sidecar(path, config.get(config_key)))
+    ds = dataio.load_dataset(path, _sidecar(path, config.get(config_key)))
+    ds.validate()
+    return ds
 
 
 def _train_config(config: dict, preset: str | None, seed: int) -> TrainConfig:

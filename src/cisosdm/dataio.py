@@ -107,21 +107,28 @@ class Dataset:
             raise KeyError(f"unknown species group '{name}'; have {sorted(self.group_masks)}") from None
 
     def validate(self) -> None:
+        """Check shapes, target range and split tags; raise SchemaError on the
+        first violation. Empty env cells (NaN) are allowed: `fit_norm` and
+        `apply_norm` impute them. Infinite env values are not."""
         n, c = self.n_records, self.n_species
-        assert self.targets.shape == (n, c), "targets shape mismatch"
-        assert self.available.shape == (n, c), "availability shape mismatch"
-        assert self.env.shape[0] == n, "env shape mismatch"
+        if self.targets.shape != (n, c):
+            raise SchemaError(f"targets shape {self.targets.shape} does not match ({n}, {c})")
+        if self.available.shape != (n, c):
+            raise SchemaError(f"availability shape {self.available.shape} does not match ({n}, {c})")
+        if self.env.ndim != 2 or self.env.shape[0] != n:
+            raise SchemaError(f"env shape {self.env.shape} does not have {n} rows")
         obs = self.targets[self.available]
-        if obs.size and (obs.min() < 0.0 or obs.max() > 1.0):
-            raise ValueError("targets must lie in [0, 1]")
-        if not np.isfinite(self.env).all():
-            raise ValueError("env values must be finite (impute before use)")
+        if not ((obs >= 0.0) & (obs <= 1.0)).all():
+            raise SchemaError("targets must lie in [0, 1]")
+        if np.isinf(self.env).any():
+            raise SchemaError("env values must be finite or missing, not infinite")
         for name, mask in self.group_masks.items():
-            assert mask.shape == (c,), f"group mask '{name}' has wrong length"
+            if mask.shape != (c,):
+                raise SchemaError(f"group mask '{name}' has shape {mask.shape}, not ({c},)")
         if self.split is not None:
             bad = set(np.unique(self.split)) - set(SPLIT_TAGS)
             if bad:
-                raise ValueError(f"unknown split tags {sorted(bad)}")
+                raise SchemaError(f"unknown split tags {sorted(bad)}")
 
 
 def from_records(records: list[LocationRecord], species: list[str], group_masks=None) -> Dataset:
@@ -167,7 +174,13 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
         raise SchemaError(f"{path}: missing required columns {missing}")
     col = {name: i for i, name in enumerate(header)}
     has_split = "split" in col
-    env_cols = [(int(name[4:]), i) for i, name in enumerate(header) if name.startswith("env_")]
+    env_cols = []
+    for i, name in enumerate(header):
+        if name.startswith("env_"):
+            try:
+                env_cols.append((int(name[4:]), i))
+            except ValueError:
+                raise SchemaError(f"{path}: env column {name!r} is not numbered as env_<k>") from None
     env_cols.sort()
     sp_cols = [(name[3:], i) for i, name in enumerate(header) if name.startswith("sp_")]
     if not env_cols:

@@ -84,10 +84,11 @@ def predict_batch_rows(spec: ModelSpec) -> int:
         return MAX_PREDICT_ROWS
     length, d, heads = spec.n_species + 1, spec.hidden_dim, spec.heads
     # float64 arrays alive at once in one transformer block's inference
-    # forward: the score/softmax temporaries, q/k/v with their per-head
-    # copies, and the feed-forward's GELU temporaries. It bounds the
-    # tracemalloc peak of a forward pass per row from above (C = 10..300,
-    # d = 64..256).
+    # forward: the score/softmax temporaries, q/k/v and the merged heads,
+    # and the feed-forward's GELU temporaries. It bounds the tracemalloc peak
+    # of a forward pass per row from above (C = 10..300, d = 64..256) with
+    # room to spare: head splits are views and softmax, layer norm and GELU
+    # work in place, so the measured peak is 0.55-0.96 of it.
     row_bytes = 8 * (3 * heads * length**2 + 4 * length * heads * d + 4 * length * 4 * d)
     return max(1, min(MAX_PREDICT_ROWS, PREDICT_BUDGET_BYTES // row_bytes))
 
@@ -268,10 +269,13 @@ class TransformerBlock:
         """Row-stochastic attention matrix (B, heads, L, L) over the
         layer-normed tokens `a`; `forward` mixes the values with it."""
         batch, length, _ = a.shape
-        q = self._heads(nm.matmul(a, self.wq, self.bq), batch, length)
+        # The 1/sqrt(d) score scale is folded into the (d, heads*d) query
+        # projection, so no op runs over the (B, heads, L, L) scores before
+        # the softmax.
+        scale = 1.0 / np.sqrt(self.dim)
+        q = self._heads(nm.matmul(a, nm.mul(self.wq, scale), nm.mul(self.bq, scale)), batch, length)
         k = self._heads(nm.matmul(a, self.wk, self.bk), batch, length)
-        scores = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(self.dim))
-        return nm.softmax_rows(scores)
+        return nm.softmax_rows(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))))
 
     def forward(self, x: Tensor, training: bool, rng) -> Tensor:
         batch, length, _ = x.shape
@@ -400,22 +404,49 @@ def save_checkpoint(tm: TrainedModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> TrainedModel:
+    """Read a :func:`save_checkpoint` file. A file that does not hold exactly
+    the arrays its spec builds, in their shapes and with no bytes left over,
+    raises ValueError naming the path and the array at fault."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header["format_version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {header['format_version']}")
-        spec = ModelSpec.from_dict(header["spec"])
-        maxent = MaxentConfig.from_json(json.dumps(header["maxent"])) if header["maxent"] else None
-        model = build_model(spec, seed=0, maxent_config=maxent)
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(n * 8)
-            model.params[entry["name"]].values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        data = fh.read()
+    pos = len(CHECKPOINT_MAGIC)
+    if data[:pos] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    if len(data) < pos + 8:
+        raise ValueError(f"{path}: truncated header")
+    (hlen,) = struct.unpack_from("<Q", data, pos)
+    pos += 8
+    try:
+        header = json.loads(data[pos : pos + hlen].decode("utf-8"))
+    except ValueError:  # covers UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"{path}: truncated or corrupt header") from None
+    pos += hlen
+    if header["format_version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {header['format_version']}")
+    spec = ModelSpec.from_dict(header["spec"])
+    maxent = MaxentConfig.from_json(json.dumps(header["maxent"])) if header["maxent"] else None
+    model = build_model(spec, seed=0, maxent_config=maxent)
+    loaded: list[str] = []
+    for entry in header["arrays"]:
+        name, shape = entry["name"], tuple(entry["shape"])
+        param = model.params.get(name)
+        if param is None:
+            raise ValueError(f"{path}: array '{name}' is not a parameter of this {spec.family} model")
+        if name in loaded:
+            raise ValueError(f"{path}: array '{name}' appears twice")
+        if shape != param.shape:
+            raise ValueError(f"{path}: array '{name}' has shape {shape}, but the model builds {param.shape}")
+        nbytes = 8 * param.size
+        if pos + nbytes > len(data):
+            raise ValueError(f"{path}: array '{name}' is truncated ({len(data) - pos} of {nbytes} bytes)")
+        param.values = np.frombuffer(data, dtype="<f8", count=param.size, offset=pos).reshape(shape).copy()
+        pos += nbytes
+        loaded.append(name)
+    missing = [name for name in model.params if name not in loaded]
+    if missing:
+        raise ValueError(f"{path}: arrays {missing} are missing")
+    if pos != len(data):
+        raise ValueError(f"{path}: {len(data) - pos} trailing bytes after the last array '{loaded[-1]}'")
     return TrainedModel(
         model=model,
         roster=list(header["roster"]),

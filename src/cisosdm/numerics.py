@@ -1,9 +1,16 @@
 """Minimal float64 tensor library with a reverse-mode tape, AdamW, and masked BCE.
 
-Tensors wrap contiguous numpy arrays. Gradient recording happens on an
-explicitly scoped :class:`Tape`; outside a tape every op is a plain numpy
-computation, which is how inference runs. All math is float64 so that
-finite-difference checks stay tight.
+Tensors wrap float64 numpy arrays, which may be views: a `Tensor` built from
+a float64 array shares its memory, and `reshape`, `transpose` and
+`slice_axis` return views of their input where numpy can, so a head split or
+a `k` transpose copies nothing. Ownership rule: a kernel writes only into
+arrays it allocated itself, never into an input's ``.values`` nor into the
+gradient ``g`` its backward rule receives; both may be shared with other
+tensors, with other tape entries, or with the caller's arrays.
+
+Gradient recording happens on an explicitly scoped :class:`Tape`; outside a
+tape every op is a plain numpy computation, which is how inference runs. All
+math is float64 so that finite-difference checks stay tight.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import threading
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
 log = logging.getLogger(__name__)
 
@@ -22,7 +29,6 @@ DTYPE = np.float64
 # Clamp for log/sigmoid/BCE inputs; prevents infinities without visible bias.
 CLAMP_EPS = 1e-12
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -32,7 +38,7 @@ class Tensor:
     __slots__ = ("values", "requires_grad", "grad", "name")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
-        self.values = np.ascontiguousarray(np.asarray(values, dtype=DTYPE))
+        self.values = np.asarray(values, dtype=DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.name = name
@@ -176,6 +182,12 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of `a` and `b` along the last axis, keeping it as size 1;
+    builds no (..., n) temporary."""
+    return np.einsum("...i,...i->...", a, b)[..., None]
+
+
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
@@ -284,14 +296,21 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact GELU, x·Φ(x), with Φ the standard normal CDF."""
     x = as_tensor(x)
-    e = erf(x.values * _INV_SQRT2)
-    out = Tensor(0.5 * x.values * (1.0 + e))
+    cdf = ndtr(x.values)
+    out = Tensor(x.values * cdf)
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x.values * x.values) * _INV_SQRT_2PI
-        return (g * (0.5 * (1.0 + e) + x.values * pdf),)
+        # Φ(x) + x·φ(x), built in one buffer.
+        gx = np.square(x.values)
+        gx *= -0.5
+        np.exp(gx, out=gx)
+        gx *= _INV_SQRT_2PI
+        gx *= x.values
+        gx += cdf
+        gx *= g
+        return (gx,)
 
     return _record(out, (x,), bwd)
 
@@ -300,8 +319,14 @@ def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable sigmoid, clamped into (CLAMP_EPS, 1 - CLAMP_EPS)."""
     x = as_tensor(x)
     v = x.values
-    s = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
-    s = np.clip(s, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    e = np.abs(v)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    # 1 / (1 + e) where v >= 0, e / (1 + e) elsewhere, with e = exp(-|v|).
+    s = np.where(v >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    np.clip(s, CLAMP_EPS, 1.0 - CLAMP_EPS, out=s)
     out = Tensor(s)
 
     def bwd(g):
@@ -354,14 +379,15 @@ def cos(x: Tensor) -> Tensor:
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis; each row sums to 1."""
     x = as_tensor(x)
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = x.values - x.values.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out = Tensor(s)
 
     def bwd(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        gx = g - _row_dot(g, s)
+        gx *= s
+        return (gx,)
 
     return _record(out, (x,), bwd)
 
@@ -371,33 +397,45 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate <= 0.0:
         return x
     x = as_tensor(x)
-    keep = rng.random(x.shape) >= rate
+    buf = rng.random(x.shape)
+    keep = buf >= rate
     scale = 1.0 / (1.0 - rate)
-    out = Tensor(x.values * keep * scale)
+    np.multiply(x.values, keep, out=buf)
+    buf *= scale
+    out = Tensor(buf)
 
     def bwd(g):
-        return (g * keep * scale,)
+        gx = g * keep
+        gx *= scale
+        return (gx,)
 
     return _record(out, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over the last axis, then scale and shift by (n,) vectors."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.values.mean(axis=-1, keepdims=True)
-    var = x.values.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.values - mu) * inv
-    out = Tensor(xhat * gain.values + bias.values)
+    n = x.shape[-1]
+    if gain.shape != (n,) or bias.shape != (n,):
+        raise ValueError(f"layer_norm gain {gain.shape} and bias {bias.shape} must both be ({n},)")
+    xhat = x.values - x.values.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / n + eps)
+    xhat *= inv
+    out_values = xhat * gain.values
+    out_values += bias.values
+    out = Tensor(out_values)
 
     def bwd(g):
-        n = x.shape[-1]
         gx = gg = gb = None
-        gxhat = g * gain.values
         if x.requires_grad:
-            gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True) - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+            # inv · (ĝ - mean(ĝ) - x̂ · mean(ĝ x̂)), with ĝ = g · gain
+            gxhat = g * gain.values
+            gx = xhat * (_row_dot(gxhat, xhat) / n)
+            np.subtract(gxhat, gx, out=gx)
+            gx -= gxhat.mean(axis=-1, keepdims=True)
+            gx *= inv
         if gain.requires_grad:
-            gg = _reduce_to(g * xhat, gain.shape)
+            gg = np.einsum("ij,ij->j", g.reshape(-1, n), xhat.reshape(-1, n))
         if bias.requires_grad:
             gb = _reduce_to(g, bias.shape)
         return gx, gg, gb

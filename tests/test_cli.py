@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cisosdm
@@ -16,6 +17,17 @@ def run_cli(args):
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def set_first_row_cell(src, dst, column, value):
+    """Copy the CSV `src` to `dst` with the first data row's cell in the first
+    column whose name satisfies `column` replaced by `value`."""
+    lines = src.read_text().splitlines()
+    index = next(i for i, name in enumerate(lines[0].split(",")) if column(name))
+    cells = lines[1].split(",")
+    cells[index] = value
+    lines[1] = ",".join(cells)
+    dst.write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +201,43 @@ class TestPrepare:
         assert "mean" in stats
         splits = json.loads((out / "splits.json").read_text())
         assert set(splits.values()) <= {"train", "val", "test"}
+
+    def test_prepare_imputes_an_empty_env_cell(self, tmp_path):
+        from cisosdm import dataio, synth as synthmod
+
+        ds = synthmod.generate(synthmod.SynthSpec(n_species=4, n_env=2, n_locations=40, edges=[], seed=3))
+        raw_csv, raw_cfg = str(tmp_path / "raw.csv"), str(tmp_path / "raw.json")
+        dataio.save_dataset(ds, raw_csv, raw_cfg)
+        set_first_row_cell(tmp_path / "raw.csv", tmp_path / "raw.csv", lambda name: name == "env_0", "")
+        cfg = write_json(tmp_path / "prep.json", {"dataset": raw_csv, "dataset_config": raw_cfg})
+        out = tmp_path / "prep"
+        assert run_cli(["prepare", "--config", cfg, "--out-dir", str(out), "--seed", "4"]) == 0
+        prepared = dataio.load_dataset(str(out / "dataset.csv"), str(out / "dataset.json"))
+        assert np.isnan(prepared.env).sum() == 1
+
+
+@pytest.fixture(scope="module")
+def out_of_range_csv(synth_bundle, tmp_path_factory):
+    """The synth dataset with one observed target set to 1.5."""
+    out = tmp_path_factory.mktemp("bad")
+    set_first_row_cell(synth_bundle / "dataset.csv", out / "dataset.csv", lambda name: name.startswith("sp_"), "1.5")
+    (out / "dataset.json").write_text((synth_bundle / "dataset.json").read_text())
+    return str(out / "dataset.csv")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "delta", "map", "colocate"])
+def test_every_entry_point_rejects_out_of_range_targets(command, out_of_range_csv, trained_bundle, tmp_path, capsys):
+    ckpt = str(trained_bundle / "checkpoint.ckpt")
+    configs = {
+        "train": {"dataset": out_of_range_csv, "family": "linear", "train": {"epochs": 1}},
+        "eval": {"checkpoint": ckpt, "dataset": out_of_range_csv, "protocols": [{"name": "p"}]},
+        "delta": {"checkpoint": ckpt, "dataset": out_of_range_csv, "source_species": "species_00"},
+        "map": {"checkpoint": ckpt, "dataset": out_of_range_csv, "protocol": {}},
+        "colocate": {"dataset_a": out_of_range_csv, "dataset_b": out_of_range_csv},
+    }
+    cfg = write_json(tmp_path / "cfg.json", configs[command])
+    assert run_cli([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "targets must lie in [0, 1]" in capsys.readouterr().err
 
 
 class TestColocateCommand:

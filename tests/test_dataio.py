@@ -128,6 +128,55 @@ def toy_dataset(targets, available=None, species=None):
     )
 
 
+class TestValidate:
+    def test_missing_env_cell_passes(self, tmp_path):
+        text = BASIC.replace("r2,11.0,21.0,2.5,1.5", "r2,11.0,21.0,,1.5")
+        ds = dataio.load_dataset(write_csv(tmp_path, text))
+        assert np.isnan(ds.env[1, 0])
+        ds.validate()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_env_rejected(self, value):
+        ds = toy_dataset([[1.0, 0.0]])
+        ds.env[0, 1] = value
+        with pytest.raises(dataio.SchemaError, match="infinite"):
+            ds.validate()
+
+    @pytest.mark.parametrize("value", [1.5, -0.1, np.nan])
+    def test_observed_target_outside_unit_interval_rejected(self, value):
+        ds = toy_dataset([[1.0, value]])
+        with pytest.raises(dataio.SchemaError, match=r"\[0, 1\]"):
+            ds.validate()
+
+    def test_unobserved_target_is_not_checked(self):
+        toy_dataset([[1.0, 7.0]], available=[[True, False]]).validate()
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("targets", np.zeros((2, 2)), "targets shape"),
+            ("available", np.ones((1, 3), bool), "availability shape"),
+            ("env", np.zeros((2, 2)), "env shape"),
+        ],
+    )
+    def test_shape_mismatch_is_schema_error(self, field, value, match):
+        ds = toy_dataset([[1.0, 0.0]])
+        setattr(ds, field, value)
+        with pytest.raises(dataio.SchemaError, match=match):
+            ds.validate()
+
+    def test_group_mask_length_is_schema_error(self):
+        ds = toy_dataset([[1.0, 0.0]])
+        ds.group_masks["g"] = np.array([True, False, True])
+        with pytest.raises(dataio.SchemaError, match="group mask 'g'"):
+            ds.validate()
+
+    def test_unnumbered_env_header_names_column(self, tmp_path):
+        text = BASIC.replace("env_1", "env_a")
+        with pytest.raises(dataio.SchemaError, match="'env_a'"):
+            dataio.load_dataset(write_csv(tmp_path, text))
+
+
 class TestMergeTargets:
     def test_binary_or(self):
         ds = toy_dataset([[1.0, 0.0], [0.0, 0.0]])

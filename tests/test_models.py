@@ -1,3 +1,5 @@
+import json
+import struct
 import threading
 
 import numpy as np
@@ -164,6 +166,32 @@ class TestCISO:
             assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-6
             x = blk.forward(x, False, None)
 
+    def test_attention_weights_match_plain_numpy(self):
+        m = models.build_model(toy_spec("ciso", hidden_dim=8, heads=2), seed=6)
+        blk = m.blocks[0]
+        a = np.random.default_rng(7).normal(size=(3, 5, 8))
+        q = (a @ blk.wq.values + blk.bq.values).reshape(3, 5, 2, 8).transpose(0, 2, 1, 3)
+        k = (a @ blk.wk.values + blk.bk.values).reshape(3, 5, 2, 8).transpose(0, 2, 1, 3)
+        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(8)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        reference = e / e.sum(axis=-1, keepdims=True)
+        assert np.abs(blk.attention_weights(nm.Tensor(a)).values - reference).max() < 1e-12
+
+    def test_forward_and_backward_leave_caller_arrays_untouched(self):
+        m = models.build_model(toy_spec("ciso", dropout=0.2), seed=12)
+        env, targets, available, _, codes, rates = toy_batch(seed=13, n=4)
+        env[0, 0] = 0.0  # an exact zero, the kink of every ReLU and sign test
+        arrays = (env, codes, rates)
+        before = [a.copy() for a in arrays]
+        for a in arrays:
+            a.setflags(write=False)
+        with nm.Tape() as tape:
+            pred = m.forward(env, codes, rates, training=True, rng=np.random.default_rng(14))
+            nm.backward(tape, nm.bce_masked(pred, targets, available))
+        m.predict(env, codes, rates)
+        for a, b in zip(arrays, before):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_unconditioned_vs_empty_condition_identical(self):
         m = models.build_model(toy_spec("ciso"), seed=8)
         env, targets, available, _, _, _ = toy_batch(seed=9)
@@ -309,3 +337,59 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(ValueError, match="not a checkpoint"):
             models.load_checkpoint(str(path))
+
+    def saved(self, tmp_path):
+        """A real ciso checkpoint: its path, its raw bytes and its parsed header."""
+        path = tmp_path / "model.ckpt"
+        models.save_checkpoint(self.make_trained(), str(path))
+        raw = path.read_bytes()
+        start = len(models.CHECKPOINT_MAGIC) + 8
+        (hlen,) = struct.unpack_from("<Q", raw, len(models.CHECKPOINT_MAGIC))
+        return path, raw, json.loads(raw[start : start + hlen])
+
+    @staticmethod
+    def with_header(raw, header):
+        """`raw` with its JSON header replaced and the array bytes kept."""
+        start = len(models.CHECKPOINT_MAGIC) + 8
+        (hlen,) = struct.unpack_from("<Q", raw, len(models.CHECKPOINT_MAGIC))
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        return models.CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + raw[start + hlen :]
+
+    def assert_rejected(self, path, data, *fragments):
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            models.load_checkpoint(str(path))
+        for fragment in (str(path),) + fragments:
+            assert fragment in str(info.value)
+
+    def test_truncated_array_block_rejected(self, tmp_path):
+        path, raw, header = self.saved(tmp_path)
+        last = header["arrays"][-1]["name"]
+        self.assert_rejected(path, raw[:-8], f"'{last}'", "truncated")
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path, raw, _ = self.saved(tmp_path)
+        self.assert_rejected(path, raw[: len(models.CHECKPOINT_MAGIC) + 20], "header")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, raw, header = self.saved(tmp_path)
+        last = header["arrays"][-1]["name"]
+        self.assert_rejected(path, raw + b"\x00" * 8, "8 trailing bytes", f"'{last}'")
+
+    def test_unknown_array_name_rejected(self, tmp_path):
+        path, raw, header = self.saved(tmp_path)
+        header["arrays"][0]["name"] = "no.such.array"
+        self.assert_rejected(path, self.with_header(raw, header), "'no.such.array'", "not a parameter")
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        path, raw, header = self.saved(tmp_path)
+        entry = next(e for e in header["arrays"] if len(e["shape"]) == 2)
+        entry["shape"] = entry["shape"][::-1]
+        assert entry["shape"][0] != entry["shape"][1]
+        self.assert_rejected(path, self.with_header(raw, header), f"'{entry['name']}'", "shape")
+
+    def test_missing_array_rejected(self, tmp_path):
+        path, raw, header = self.saved(tmp_path)
+        dropped = header["arrays"].pop()
+        nbytes = 8 * int(np.prod(dropped["shape"]))
+        self.assert_rejected(path, self.with_header(raw, header)[:-nbytes], f"'{dropped['name']}'", "missing")

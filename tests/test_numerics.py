@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,30 +197,139 @@ def test_matmul_bias_rejects_mismatched_or_batched_operands():
         nm.matmul(a, nm.Tensor(np.ones((2, 4, 2))), nm.Tensor(np.ones(2)))
 
 
-@pytest.mark.parametrize("op", ["gelu", "layer_norm", "softmax_rows", "log", "sin", "cos", "transpose_concat"])
+KERNEL_OPS = ["gelu", "layer_norm", "softmax_rows", "log", "sin", "cos", "transpose_concat"]
+
+
+def _kernel(op, x):
+    if op == "gelu":
+        return nm.gelu(x)
+    if op == "layer_norm":
+        return nm.layer_norm(x, nm.Tensor(np.ones(4)), nm.Tensor(np.zeros(4)))
+    if op == "softmax_rows":
+        return nm.softmax_rows(x)
+    if op == "log":
+        return nm.log(x)
+    if op == "sin":
+        return nm.sin(x)
+    if op == "cos":
+        return nm.cos(x)
+    parts = [nm.slice_axis(x, 1, 0, 2), nm.slice_axis(x, 1, 2, 4)]
+    return nm.transpose(nm.concat(parts, axis=1), (1, 0))
+
+
+def _kernel_input(op, rng, shape):
+    # Negative inputs reach GELU's lower tail and softmax over negative
+    # scores; log keeps its positive domain.
+    low, high = (0.2, 2.0) if op == "log" else (-3.0, 3.0)
+    return nm.Tensor(rng.uniform(low, high, shape), requires_grad=True)
+
+
+@pytest.mark.parametrize("op", KERNEL_OPS)
 def test_kernel_gradients_match_oracle(op):
-    rng = np.random.default_rng(hash(op) % 2**32)
-    x = nm.Tensor(rng.uniform(0.2, 2.0, (3, 4)), requires_grad=True)
+    x = _kernel_input(op, np.random.default_rng(zlib.crc32(op.encode())), (3, 4))
 
     def loss():
-        if op == "gelu":
-            out = nm.gelu(x)
-        elif op == "layer_norm":
-            out = nm.layer_norm(x, nm.Tensor(np.ones(4)), nm.Tensor(np.zeros(4)))
-        elif op == "softmax_rows":
-            out = nm.softmax_rows(x)
-        elif op == "log":
-            out = nm.log(x)
-        elif op == "sin":
-            out = nm.sin(x)
-        elif op == "cos":
-            out = nm.cos(x)
-        else:
-            parts = [nm.slice_axis(x, 1, 0, 2), nm.slice_axis(x, 1, 2, 4)]
-            out = nm.transpose(nm.concat(parts, axis=1), (1, 0))
+        out = _kernel(op, x)
         return nm.sum_all(nm.mul(out, out))
 
     check_gradients(loss, {"x": x})
+
+
+@pytest.mark.parametrize("op", KERNEL_OPS)
+def test_kernel_gradients_through_transposed_view(op):
+    x = _kernel_input(op, np.random.default_rng(zlib.crc32(op.encode()) + 1), (4, 3))
+
+    def loss():
+        view = nm.transpose(x, (1, 0))
+        assert not view.values.flags.c_contiguous and np.shares_memory(view.values, x.values)
+        out = _kernel(op, view)
+        return nm.sum_all(nm.mul(out, out))
+
+    check_gradients(loss, {"x": x})
+
+
+def test_sigmoid_is_bit_identical_to_three_exp_formula():
+    v = np.concatenate([np.linspace(-40.0, 40.0, 8001), [-40.0, -0.0, 0.0, 40.0, -800.0, 800.0, -1e-300, 1e-300]])
+    old = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    old = np.clip(old, nm.CLAMP_EPS, 1.0 - nm.CLAMP_EPS)
+    assert nm.sigmoid(nm.Tensor(v)).values.tobytes() == old.tobytes()
+
+
+def test_gelu_matches_erf_form():
+    from scipy.special import erf
+
+    x = np.linspace(-8.0, 8.0, 1601)
+    reference = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    # The same function: they differ by at most a couple of ulps of values up to 8.
+    assert np.abs(nm.gelu(nm.Tensor(x)).values - reference).max() <= 2e-15
+
+
+def test_softmax_and_layer_norm_match_numpy_reference():
+    rng = np.random.default_rng(12)
+    x = rng.normal(scale=3.0, size=(2, 5, 7))
+    gain, bias = rng.normal(size=7), rng.normal(size=7)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    assert np.abs(nm.softmax_rows(nm.Tensor(x)).values - e / e.sum(axis=-1, keepdims=True)).max() < 1e-15
+    normed = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    out = nm.layer_norm(nm.Tensor(x), nm.Tensor(gain), nm.Tensor(bias)).values
+    assert np.abs(out - (normed * gain + bias)).max() < 1e-13
+
+
+def _frozen(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+_GATHER_INDEX = np.array([[0, 2], [1, 1]])
+_BCE_TARGET = _frozen(np.random.default_rng(9).random((3, 4)))
+_BCE_MASK = np.random.default_rng(10).random((3, 4)) < 0.6
+_BCE_MASK.setflags(write=False)
+
+# op name -> (call, input shapes); every public kernel and both matmul paths.
+OWNERSHIP_CASES = {
+    "matmul_linear": (lambda x, w, b: nm.matmul(x, w, b), [(2, 3, 4), (4, 5), (5,)]),
+    "matmul_batched": (nm.matmul, [(2, 3, 4), (2, 4, 5)]),
+    "add": (nm.add, [(3, 4), (4,)]),
+    "sub": (nm.sub, [(3, 4), (3, 1)]),
+    "mul": (nm.mul, [(3, 4), (1, 4)]),
+    "relu": (nm.relu, [(3, 4)]),
+    "gelu": (nm.gelu, [(3, 4)]),
+    "sigmoid": (nm.sigmoid, [(3, 4)]),
+    "log": (nm.log, [(3, 4)]),
+    "sin": (nm.sin, [(3, 4)]),
+    "cos": (nm.cos, [(3, 4)]),
+    "softmax_rows": (nm.softmax_rows, [(2, 3, 4)]),
+    "dropout": (lambda x: nm.dropout(x, 0.3, np.random.default_rng(0)), [(3, 4)]),
+    "layer_norm": (nm.layer_norm, [(2, 3, 4), (4,), (4,)]),
+    "reshape": (lambda x: nm.reshape(x, (4, 3)), [(3, 4)]),
+    "transpose": (lambda x: nm.transpose(x, (1, 0)), [(3, 4)]),
+    "concat": (lambda a, b: nm.concat([a, b], axis=1), [(3, 4), (3, 2)]),
+    "slice_axis": (lambda x: nm.slice_axis(x, 1, 1, 3), [(3, 4)]),
+    "gather_rows": (lambda t: nm.gather_rows(t, _GATHER_INDEX), [(3, 4)]),
+    "sum_all": (nm.sum_all, [(3, 4)]),
+    "sum_axis": (lambda x: nm.sum_axis(x, 0), [(3, 4)]),
+    "bce_masked": (lambda p: nm.bce_masked(p, _BCE_TARGET, _BCE_MASK), [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OWNERSHIP_CASES))
+def test_kernels_never_write_into_inputs_or_incoming_gradient(op):
+    # Read-only inputs and upstream gradient: an in-place write into an
+    # array the kernel did not allocate raises instead of passing silently.
+    call, shapes = OWNERSHIP_CASES[op]
+    rng = np.random.default_rng(11)
+    inputs = [nm.Tensor(_frozen(rng.uniform(0.1, 0.9, shape)), requires_grad=True) for shape in shapes]
+    before = [t.values.copy() for t in inputs]
+    with nm.Tape() as tape:
+        out = call(*inputs)
+        (entry,) = tape.entries
+    g = _frozen(rng.normal(size=out.shape))
+    grads = entry.backward(g)
+    assert len(grads) == len(inputs)
+    for t, gin, old in zip(inputs, grads, before):
+        assert gin.shape == t.shape
+        assert np.array_equal(t.values, old)
 
 
 def test_gather_rows_scatter_gradient():
