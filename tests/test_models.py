@@ -339,21 +339,19 @@ class TestCheckpoint:
             models.load_checkpoint(str(path))
 
     def saved(self, tmp_path):
-        """A real ciso checkpoint: its path, its raw bytes and its parsed header."""
+        """A real ciso checkpoint: its path, its bytes, its parsed header and
+        the array blocks that follow the header."""
         path = tmp_path / "model.ckpt"
         models.save_checkpoint(self.make_trained(), str(path))
         raw = path.read_bytes()
         start = len(models.CHECKPOINT_MAGIC) + 8
         (hlen,) = struct.unpack_from("<Q", raw, len(models.CHECKPOINT_MAGIC))
-        return path, raw, json.loads(raw[start : start + hlen])
+        return path, raw, json.loads(raw[start : start + hlen]), raw[start + hlen :]
 
     @staticmethod
-    def with_header(raw, header):
-        """`raw` with its JSON header replaced and the array bytes kept."""
-        start = len(models.CHECKPOINT_MAGIC) + 8
-        (hlen,) = struct.unpack_from("<Q", raw, len(models.CHECKPOINT_MAGIC))
+    def with_header(header, arrays):
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        return models.CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + raw[start + hlen :]
+        return models.CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + arrays
 
     def assert_rejected(self, path, data, *fragments):
         path.write_bytes(data)
@@ -363,33 +361,33 @@ class TestCheckpoint:
             assert fragment in str(info.value)
 
     def test_truncated_array_block_rejected(self, tmp_path):
-        path, raw, header = self.saved(tmp_path)
+        path, raw, header, _ = self.saved(tmp_path)
         last = header["arrays"][-1]["name"]
         self.assert_rejected(path, raw[:-8], f"'{last}'", "truncated")
 
     def test_truncated_header_rejected(self, tmp_path):
-        path, raw, _ = self.saved(tmp_path)
+        path, raw, _, _ = self.saved(tmp_path)
         self.assert_rejected(path, raw[: len(models.CHECKPOINT_MAGIC) + 20], "header")
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        path, raw, header = self.saved(tmp_path)
+        path, raw, header, _ = self.saved(tmp_path)
         last = header["arrays"][-1]["name"]
         self.assert_rejected(path, raw + b"\x00" * 8, "8 trailing bytes", f"'{last}'")
 
     def test_unknown_array_name_rejected(self, tmp_path):
-        path, raw, header = self.saved(tmp_path)
+        path, _, header, arrays = self.saved(tmp_path)
         header["arrays"][0]["name"] = "no.such.array"
-        self.assert_rejected(path, self.with_header(raw, header), "'no.such.array'", "not a parameter")
+        self.assert_rejected(path, self.with_header(header, arrays), "'no.such.array'", "not a parameter")
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        path, raw, header = self.saved(tmp_path)
+        path, _, header, arrays = self.saved(tmp_path)
         entry = next(e for e in header["arrays"] if len(e["shape"]) == 2)
         entry["shape"] = entry["shape"][::-1]
         assert entry["shape"][0] != entry["shape"][1]
-        self.assert_rejected(path, self.with_header(raw, header), f"'{entry['name']}'", "shape")
+        self.assert_rejected(path, self.with_header(header, arrays), f"'{entry['name']}'", "shape")
 
     def test_missing_array_rejected(self, tmp_path):
-        path, raw, header = self.saved(tmp_path)
+        path, _, header, arrays = self.saved(tmp_path)
         dropped = header["arrays"].pop()
         nbytes = 8 * int(np.prod(dropped["shape"]))
-        self.assert_rejected(path, self.with_header(raw, header)[:-nbytes], f"'{dropped['name']}'", "missing")
+        self.assert_rejected(path, self.with_header(header, arrays[:-nbytes]), f"'{dropped['name']}'", "missing")
