@@ -13,11 +13,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import __version__, colocate as co, dataio, synth as synthmod, training
 from .metrics import format_report_table
-from .models import ModelSpec, load_checkpoint, save_checkpoint
+from .models import ModelSpec, load_checkpoint, mlp_widths_for_depth, save_checkpoint
 from .training import PRESETS, EvalProtocol, TrainConfig
 
 
@@ -41,7 +41,19 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config must be a JSON object, not a {type(config).__name__}")
+    return config
+
+
+def _reject_unknown_keys(section: str, given: dict, cls, set_elsewhere: tuple[str, ...]) -> None:
+    """Raise unless every key of config section `given` names a field of the
+    dataclass `cls` that is not filled in from elsewhere."""
+    allowed = {f.name for f in fields(cls)} - set(set_elsewhere)
+    unknown = sorted(set(given) - allowed)
+    if unknown:
+        raise ValueError(f"config '{section}' has unknown keys {unknown}; allowed: {sorted(allowed)}")
 
 
 def _sidecar(path: str, explicit: str | None) -> str | None:
@@ -61,6 +73,7 @@ def _load_dataset(config: dict, key: str = "dataset", config_key: str = "dataset
 def _train_config(config: dict, preset: str | None, seed: int) -> TrainConfig:
     base = PRESETS[preset] if preset else TrainConfig()
     overrides = dict(config.get("train", {}))
+    _reject_unknown_keys("train", overrides, TrainConfig, ("seed",))
     cfg = replace(base, seed=seed, **overrides)
     cfg.validate()
     return cfg
@@ -69,6 +82,7 @@ def _train_config(config: dict, preset: str | None, seed: int) -> TrainConfig:
 def _model_spec(config: dict, ds: dataio.Dataset, n_b: int) -> ModelSpec:
     hyper = dict(config.get("hyperparams", {}))
     family = config.get("family", hyper.pop("family", "ciso"))
+    _reject_unknown_keys("hyperparams", hyper, ModelSpec, ("family", "n_species", "n_env", "n_b"))
     return ModelSpec(family=family, n_species=ds.n_species, n_env=ds.n_env, n_b=n_b, **hyper)
 
 
@@ -88,7 +102,7 @@ def cmd_prepare(config: dict, out_dir: str, seed: int) -> list[str]:
     ds = dataio.assign_split(
         ds,
         block_deg=float(config.get("block_deg", 1.0)),
-        fractions=tuple(config.get("fractions", (0.70, 0.15, 0.15))),
+        fractions=tuple(float(f) for f in config.get("fractions", (0.70, 0.15, 0.15))),
         seed=seed,
     )
     ds.validate()
@@ -134,21 +148,18 @@ def cmd_train(config: dict, out_dir: str, seed: int, preset: str | None) -> list
     return [ckpt_path, hist_path]
 
 
+def _protocol(entry: dict, name: str, unconditioned: bool = False) -> EvalProtocol:
+    return EvalProtocol(
+        name=name,
+        condition_group=None if unconditioned else entry.get("condition_group"),
+        target_group=entry.get("target_group"),
+        split=entry.get("split", "test"),
+    )
+
+
 def _protocols(config: dict, unconditioned: bool) -> list[EvalProtocol]:
-    entries = config.get("protocols")
-    if not entries:
-        entries = [{"name": "unconditioned"}]
-    protocols = []
-    for e in entries:
-        protocols.append(
-            EvalProtocol(
-                name=e["name"],
-                condition_group=None if unconditioned else e.get("condition_group"),
-                target_group=e.get("target_group"),
-                split=e.get("split", "test"),
-            )
-        )
-    return protocols
+    entries = config.get("protocols") or [{"name": "unconditioned"}]
+    return [_protocol(e, e["name"], unconditioned) for e in entries]
 
 
 def cmd_eval(config: dict, out_dir: str, seed: int, unconditioned: bool = False) -> list[str]:
@@ -188,13 +199,7 @@ def cmd_map(config: dict, out_dir: str, seed: int) -> list[str]:
     tm = load_checkpoint(config["checkpoint"])
     ds = _load_dataset(config)
     p = config.get("protocol", {})
-    protocol = EvalProtocol(
-        name=p.get("name", "map"),
-        condition_group=p.get("condition_group"),
-        target_group=p.get("target_group"),
-        split=p.get("split", "test"),
-    )
-    rows = training.predict_map(tm, ds, protocol)
+    rows = training.predict_map(tm, ds, _protocol(p, p.get("name", "map")))
     path = os.path.join(out_dir, "map.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["lat", "lon", "species", "prediction"])
@@ -269,17 +274,19 @@ def cmd_ablate(config: dict, out_dir: str, seed: int) -> list[str]:
         ds = dataio.assign_split(synthmod.generate(spec), seed=seed)
 
     base_train = dict(config.get("train", {}))
+    _reject_unknown_keys("train", base_train, TrainConfig, ("seed",))
     base_train.setdefault("epochs", 2)
     base_train.setdefault("lr", 1e-3)
     base_train.setdefault("n_b", 4)
     hidden = int(config.get("hidden_dim", 32))
     sweeps = config.get("sweep", "all")
-    outputs = []
-    uncond = EvalProtocol("uncond", None, "responders")
-    cond = EvalProtocol("cond", "drivers", "responders")
+    both = (
+        ("unconditioned", EvalProtocol("uncond", None, "responders")),
+        ("conditioned", EvalProtocol("cond", "drivers", "responders")),
+    )
 
-    def train_once(family: str, seed_: int, n_b: int | None = None, encoding: str = "discrete", **spec_kw):
-        cfg = TrainConfig(seed=seed_, **base_train)
+    def train_once(family: str, n_b: int | None = None, encoding: str = "discrete", **spec_kw):
+        cfg = TrainConfig(seed=seed, **base_train)
         if n_b is not None:
             cfg = replace(cfg, n_b=n_b)
         mspec = ModelSpec(
@@ -288,53 +295,37 @@ def cmd_ablate(config: dict, out_dir: str, seed: int) -> list[str]:
         tm, _ = training.train(ds, mspec, cfg)
         return tm
 
+    def scored(tm, first: dict, protocols=both, **after) -> list[dict]:
+        """One row per inference protocol: the `first` columns, the protocol,
+        the `after` columns, then the metrics."""
+        return [
+            {**first, "inference": inference, **after, **_ablate_metrics(training.evaluate(tm, ds, protocol))}
+            for inference, protocol in protocols
+        ]
+
+    tables: dict[str, list[dict]] = {}
     if sweeps in ("all", "encoding"):
-        rows = []
+        rows = tables["encoding"] = []
         for label, mode, n_b in ENCODING_SWEEP:
-            tm = train_once("ciso", seed, n_b=n_b, encoding=mode, hidden_dim=hidden)
-            for inference, protocol in (("unconditioned", uncond), ("conditioned", cond)):
-                rows.append({"encoding": label, "inference": inference, **_ablate_metrics(training.evaluate(tm, ds, protocol))})
-        path = os.path.join(out_dir, "ablation_encoding.csv")
-        _write_rows(path, rows)
-        outputs.append(path)
+            rows += scored(train_once("ciso", n_b=n_b, encoding=mode, hidden_dim=hidden), {"encoding": label})
 
     if sweeps in ("all", "depth"):
-        rows = []
-        from .models import mlp_widths_for_depth
-
+        rows = tables["depth"] = []
         for depth in DEPTH_SWEEP:
-            widths = mlp_widths_for_depth(depth, hidden)
-            tm = train_once("mlp", seed, mlp_hidden=widths, hidden_dim=hidden)
-            rows.append(
-                {
-                    "model": f"mlp-{depth}",
-                    "inference": "unconditioned",
-                    "n_params": tm.model.param_count(),
-                    **_ablate_metrics(training.evaluate(tm, ds, uncond)),
-                }
-            )
+            tm = train_once("mlp", mlp_hidden=mlp_widths_for_depth(depth, hidden), hidden_dim=hidden)
+            rows += scored(tm, {"model": f"mlp-{depth}"}, both[:1], n_params=tm.model.param_count())
         for family in ("mlp++", "ciso"):
-            tm = train_once(family, seed, hidden_dim=hidden)
-            for inference, protocol in (("unconditioned", uncond), ("conditioned", cond)):
-                rows.append(
-                    {
-                        "model": family,
-                        "inference": inference,
-                        "n_params": tm.model.param_count(),
-                        **_ablate_metrics(training.evaluate(tm, ds, protocol)),
-                    }
-                )
-        path = os.path.join(out_dir, "ablation_depth.csv")
-        _write_rows(path, rows)
-        outputs.append(path)
+            tm = train_once(family, hidden_dim=hidden)
+            rows += scored(tm, {"model": family}, n_params=tm.model.param_count())
 
     if sweeps in ("all", "dim"):
-        rows = []
+        rows = tables["dim"] = []
         for dim in DIM_SWEEP:
-            tm = train_once("ciso", seed, hidden_dim=dim)
-            for inference, protocol in (("unconditioned", uncond), ("conditioned", cond)):
-                rows.append({"hidden_dim": dim, "inference": inference, **_ablate_metrics(training.evaluate(tm, ds, protocol))})
-        path = os.path.join(out_dir, "ablation_dim.csv")
+            rows += scored(train_once("ciso", hidden_dim=dim), {"hidden_dim": dim})
+
+    outputs = []
+    for name, rows in tables.items():
+        path = os.path.join(out_dir, f"ablation_{name}.csv")
         _write_rows(path, rows)
         outputs.append(path)
     return outputs
@@ -357,54 +348,43 @@ def _write_rows(path: str, rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
+# name -> (handler, extra options: keyword argument of the handler -> argparse
+# settings of its --flag). Every command also takes --config, --seed, --out-dir.
+COMMANDS = {
+    "prepare": (cmd_prepare, {}),
+    "colocate": (cmd_colocate, {}),
+    "train": (cmd_train, {"preset": {"choices": sorted(PRESETS)}}),
+    "eval": (cmd_eval, {"unconditioned": {"action": "store_true", "help": "force empty condition sets"}}),
+    "delta": (cmd_delta, {}),
+    "map": (cmd_map, {}),
+    "synth": (cmd_synth, {}),
+    "ablate": (cmd_ablate, {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cisosdm", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_preset in (
-        ("prepare", False),
-        ("colocate", False),
-        ("train", True),
-        ("eval", False),
-        ("delta", False),
-        ("map", False),
-        ("synth", False),
-        ("ablate", False),
-    ):
+    for name, (_, options) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", required=True)
-        if needs_preset:
-            p.add_argument("--preset", choices=sorted(PRESETS))
-        if name == "eval":
-            p.add_argument("--unconditioned", action="store_true", help="force empty condition sets")
+        for option, settings in options.items():
+            p.add_argument(f"--{option}", **settings)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler, options = COMMANDS[args.command]
     try:
         config = _load_config(args.config)
         os.makedirs(args.out_dir, exist_ok=True)
         started = time.time()
-        if args.command == "prepare":
-            outputs = cmd_prepare(config, args.out_dir, args.seed)
-        elif args.command == "colocate":
-            outputs = cmd_colocate(config, args.out_dir, args.seed)
-        elif args.command == "train":
-            outputs = cmd_train(config, args.out_dir, args.seed, getattr(args, "preset", None))
-        elif args.command == "eval":
-            outputs = cmd_eval(config, args.out_dir, args.seed, args.unconditioned)
-        elif args.command == "delta":
-            outputs = cmd_delta(config, args.out_dir, args.seed)
-        elif args.command == "map":
-            outputs = cmd_map(config, args.out_dir, args.seed)
-        elif args.command == "synth":
-            outputs = cmd_synth(config, args.out_dir, args.seed)
-        else:
-            outputs = cmd_ablate(config, args.out_dir, args.seed)
+        outputs = handler(config, args.out_dir, args.seed, **{o: getattr(args, o) for o in options})
         manifest = RunManifest(
             command=args.command,
             config=config,

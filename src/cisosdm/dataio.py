@@ -1,4 +1,4 @@
-"""Dataset schema, CSV ingestion, fuzzy species-name merging, spatial block
+"""Dataset schema, CSV ingestion, approved species merges, spatial block
 cross-validation splits, and environmental normalization.
 
 The on-disk format is a UTF-8 CSV with header
@@ -23,18 +23,6 @@ SPLIT_TAGS = ("train", "val", "test")
 
 class SchemaError(ValueError):
     """Input file does not match the documented tabular schema."""
-
-
-@dataclass
-class LocationRecord:
-    """One site: coordinates, abiotic vector, targets, availability mask."""
-
-    id: str
-    lat: float
-    lon: float
-    env: np.ndarray
-    targets: np.ndarray
-    available: np.ndarray
 
 
 @dataclass
@@ -66,20 +54,6 @@ class Dataset:
     def is_binary(self) -> bool:
         vals = self.targets[self.available]
         return bool(np.isin(vals, (0.0, 1.0)).all())
-
-    def record(self, i: int) -> LocationRecord:
-        return LocationRecord(
-            id=self.ids[i],
-            lat=float(self.lats[i]),
-            lon=float(self.lons[i]),
-            env=self.env[i],
-            targets=self.targets[i],
-            available=self.available[i],
-        )
-
-    def iter_records(self):
-        for i in range(self.n_records):
-            yield self.record(i)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         indices = np.asarray(indices)
@@ -131,22 +105,20 @@ class Dataset:
                 raise SchemaError(f"unknown split tags {sorted(bad)}")
 
 
-def from_records(records: list[LocationRecord], species: list[str], group_masks=None) -> Dataset:
-    return Dataset(
-        species=list(species),
-        ids=[r.id for r in records],
-        lats=np.array([r.lat for r in records], dtype=float),
-        lons=np.array([r.lon for r in records], dtype=float),
-        env=np.stack([np.asarray(r.env, dtype=float) for r in records]),
-        targets=np.stack([np.asarray(r.targets, dtype=float) for r in records]),
-        available=np.stack([np.asarray(r.available, dtype=bool) for r in records]),
-        group_masks={k: np.asarray(v, dtype=bool) for k, v in (group_masks or {}).items()},
-    )
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
+
+
+def _not_numeric(path: str, column: str, cell: str, rid: str) -> SchemaError:
+    return SchemaError(f"{path}: non-numeric {column} value {cell!r} in row id={rid}")
+
+
+def _number(path: str, column: str, cell: str, rid: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise _not_numeric(path, column, cell, rid) from None
 
 
 def load_dataset(path: str, config_path: str | None = None) -> Dataset:
@@ -211,7 +183,8 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
         if len(row) != len(header):
             raise SchemaError(f"{path}: row with {len(row)} cells does not match {len(header)}-column header")
         rid = row[col["id"]]
-        lat, lon = float(row[col["lat"]]), float(row[col["lon"]])
+        lat = _number(path, "lat", row[col["lat"]], rid)
+        lon = _number(path, "lon", row[col["lon"]], rid)
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
             rejected += 1
             continue
@@ -224,13 +197,16 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
             try:
                 env[k] = float(cell)
             except ValueError:
-                raise SchemaError(f"{path}: non-numeric env value {cell!r} in row id={rid}") from None
+                raise _not_numeric(path, header[i], cell, rid) from None
         t = np.zeros(len(ordered))
         a = np.zeros(len(ordered), dtype=bool)
         for k, (_, i) in enumerate(ordered):
             cell = row[i]
             if cell != "":
-                t[k] = float(cell)
+                try:
+                    t[k] = float(cell)
+                except ValueError:
+                    raise _not_numeric(path, header[i], cell, rid) from None
                 a[k] = True
         ids.append(rid)
         lats.append(lat)
@@ -298,60 +274,6 @@ def save_dataset(ds: Dataset, path: str, config_path: str | None = None) -> None
             json.dump(config, fh, indent=2, sort_keys=True)
 
 
-# ---------------------------------------------------------------------------
-# Fuzzy species-name merging
-# ---------------------------------------------------------------------------
-
-
-def indel_similarity(a: str, b: str) -> float:
-    """Normalized indel similarity on [0, 100]:
-    100 * (|a| + |b| - indel_distance(a, b)) / (|a| + |b|).
-
-    The indel distance allows insertions and deletions only, which equals
-    |a| + |b| - 2 * LCS(a, b).
-    """
-    if not a and not b:
-        return 100.0
-    la, lb = len(a), len(b)
-    # LCS via one-row DP.
-    prev = [0] * (lb + 1)
-    for i in range(1, la + 1):
-        cur = [0] * (lb + 1)
-        ai = a[i - 1]
-        for j in range(1, lb + 1):
-            if ai == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
-        prev = cur
-    lcs = prev[lb]
-    return 100.0 * (2.0 * lcs) / (la + lb)
-
-
-def fuzzy_merge_species(roster: list[str], threshold: float = 90.0) -> list[tuple[str, str, float]]:
-    """Propose species-name merges with similarity strictly above `threshold`.
-
-    Returns (name_a, name_b, score) sorted by descending score. Merging itself
-    only happens from an explicitly approved list; see merge_targets.
-    """
-    if not 0.0 <= threshold <= 100.0:
-        raise ValueError(f"threshold must be in [0, 100], got {threshold}")
-    proposals = []
-    for i in range(len(roster)):
-        a = roster[i]
-        for j in range(i + 1, len(roster)):
-            b = roster[j]
-            # Length gap alone can cap the score below the threshold.
-            upper = 100.0 * 2.0 * min(len(a), len(b)) / max(len(a) + len(b), 1)
-            if upper <= threshold:
-                continue
-            score = indel_similarity(a, b)
-            if score > threshold:
-                proposals.append((a, b, score))
-    proposals.sort(key=lambda p: (-p[2], p[0], p[1]))
-    return proposals
-
-
 def merge_targets(ds: Dataset, approved: list[tuple[str, str]]) -> Dataset:
     """Merge each approved pair into its first-named species.
 
@@ -404,8 +326,8 @@ def spatial_block_split(
     """
     if block_deg <= 0:
         raise ValueError("block_deg must be positive")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
+    if len(fractions) != 3 or not all(f >= 0.0 for f in fractions) or not abs(sum(fractions) - 1.0) <= 1e-9:
+        raise ValueError(f"fractions must be 3 non-negative values (train, val, test) that sum to 1, got {fractions}")
     lats = np.asarray(lats, dtype=float)
     lons = np.asarray(lons, dtype=float)
     n = lats.size

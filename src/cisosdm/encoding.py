@@ -30,11 +30,6 @@ class StateAssignment:
     """Conditioning state for a single species."""
 
     code: int
-    rate: float | None = None  # retained for the continuous modes
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.code == STATE_UNKNOWN
 
     @property
     def is_absent(self) -> bool:
@@ -55,8 +50,8 @@ def bin_rate(r: float, n_b: int) -> StateAssignment:
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
     if r == 0.0:
-        return StateAssignment(STATE_ABSENT, rate=0.0)
-    return StateAssignment(1 + math.ceil(r * n_b), rate=r)
+        return StateAssignment(STATE_ABSENT)
+    return StateAssignment(1 + math.ceil(r * n_b))
 
 
 def assign_states(
@@ -123,10 +118,6 @@ class StateEmbeddingTable:
                     rng.normal(0.0, scale, size=(dim, dim)), requires_grad=True, name="state_proj"
                 )
 
-    @property
-    def n_rows(self) -> int:
-        return self.params["state_rows"].shape[0]
-
     def encode(self, codes: np.ndarray, rates: np.ndarray) -> Tensor:
         """State vectors for a (..., C) code array; output shape (..., C, dim)."""
         rows = self.params["state_rows"]
@@ -159,13 +150,6 @@ class EmbeddingTables:
         out = {"species_embed": self.species}
         out.update(self.state.params)
         return out
-
-
-def encode_state(assignment: StateAssignment, table: StateEmbeddingTable) -> Tensor:
-    """Single-species state vector; shape (dim,)."""
-    codes = np.array([assignment.code])
-    rates = np.array([assignment.rate if assignment.rate is not None else 0.0])
-    return nm.reshape(table.encode(codes, rates), (table.dim,))
 
 
 def species_tokens(tables: EmbeddingTables, codes: np.ndarray, rates: np.ndarray) -> Tensor:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nm
 from .dataio import NormStats
-from .encoding import EmbeddingTables, assign_states
+from .encoding import EmbeddingTables, species_tokens
 from .features import MaxentConfig, expand
 from .numerics import Tensor
 
@@ -337,7 +337,7 @@ class CISOModel(Model):
             rates = np.zeros((batch, c))
         z = _run_trunk(self.trunk, Tensor(env))
         z = nm.reshape(z, (batch, 1, self.spec.hidden_dim))
-        tokens = nm.add(self.tables.species, self.tables.state.encode(codes, rates))
+        tokens = species_tokens(self.tables, codes, rates)
         x = nm.concat([z, tokens], axis=1)
         for blk in self.blocks:
             x = blk.forward(x, training, rng)
@@ -455,9 +455,3 @@ def load_checkpoint(path: str) -> TrainedModel:
         meta=header.get("meta", {}),
     )
 
-
-def states_for(
-    spec: ModelSpec, targets: np.ndarray, available: np.ndarray, known: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch state codes/rates under the model's binning config."""
-    return assign_states(targets, available, known, spec.n_b)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +43,10 @@ class TrainConfig:
     target_group: str | None = None  # restrict the loss to one species group
 
     def validate(self) -> None:
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if not 0.0 <= self.mask_cap_fraction <= 1.0:
             raise ValueError("mask_cap_fraction must be in [0, 1]")
         if self.epochs < 1 or self.batch_size < 1:
@@ -56,16 +61,9 @@ PRESETS: dict[str, TrainConfig] = {
 }
 
 
-@dataclass(frozen=True)
-class KnownSetSample:
-    """The revealed subset drawn for one training example."""
-
-    indices: np.ndarray
-    k: int
-
-
-def sample_known(available: np.ndarray, rng: np.random.Generator, cap_fraction: float = 0.75) -> KnownSetSample:
-    """Draw C_known uniformly from the available species of one record.
+def sample_known(available: np.ndarray, rng: np.random.Generator, cap_fraction: float = 0.75) -> np.ndarray:
+    """Draw C_known uniformly from the available species of one record and
+    return its species indices.
 
     k is uniform on [0, min(floor(cap * |C|), l)] where l counts the available
     species; unavailable species are never revealed.
@@ -75,15 +73,14 @@ def sample_known(available: np.ndarray, rng: np.random.Generator, cap_fraction: 
     k_max = min(int(np.floor(cap_fraction * available.size)), pool.size)
     k = int(rng.integers(0, k_max + 1))
     if k == 0:
-        return KnownSetSample(indices=np.empty(0, dtype=np.int64), k=0)
-    return KnownSetSample(indices=rng.choice(pool, size=k, replace=False), k=k)
+        return np.empty(0, dtype=np.int64)
+    return rng.choice(pool, size=k, replace=False)
 
 
 def _known_matrix(available: np.ndarray, rng: np.random.Generator, cap: float) -> np.ndarray:
     known = np.zeros_like(available, dtype=bool)
     for i in range(available.shape[0]):
-        s = sample_known(available[i], rng, cap)
-        known[i, s.indices] = True
+        known[i, sample_known(available[i], rng, cap)] = True
     return known
 
 

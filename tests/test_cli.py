@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -300,18 +301,58 @@ class TestErrors:
         assert proc.returncode != 0
         assert "usage" in proc.stderr.lower()
 
-    def test_invalid_config_exits_nonzero_with_message(self, tmp_path, capsys):
-        cfg = write_json(tmp_path / "bad.json", {"dataset": str(tmp_path / "missing.csv")})
-        rc = run_cli(["train", "--config", cfg, "--out-dir", str(tmp_path / "o")])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "error:" in captured.err
+    def test_invalid_config_exits_nonzero_with_message(self, synth_bundle, tmp_path, capsys):
+        dataset = str(synth_bundle / "dataset.csv")
+        bad_lat = tmp_path / "bad_lat.csv"
+        set_first_row_cell(synth_bundle / "dataset.csv", bad_lat, lambda name: name == "lat", "abc")
+        (tmp_path / "bad_lat.json").write_text((synth_bundle / "dataset.json").read_text())
+        header, *rows = (synth_bundle / "dataset.csv").read_text().splitlines()
+        first_id = rows[0].split(",")[0]
+        other = tmp_path / "other.csv"  # the same sites under other record ids, for colocate
+        other.write_text("\n".join([header] + [f"b_{row}" for row in rows]) + "\n")
+        # (command, config, fragments the error message must contain)
+        cases = [
+            ("train", {"dataset": str(tmp_path / "missing.csv")}, ["missing.csv"]),
+            ("train", {"dataset": dataset, "train": {"epoch": 1}}, ["'train'", "epoch"]),
+            ("train", {"dataset": dataset, "hyperparams": {"hidden": 8}}, ["'hyperparams'", "hidden"]),
+            ("train", [{"dataset": dataset}], ["JSON object"]),
+            ("train", {"dataset": dataset, "train": {"lr": "fast"}}, ["lr", "fast"]),
+            ("train", {"dataset": dataset, "train": {"weight_decay": -1.0}}, ["weight_decay"]),
+            ("train", {"dataset": str(bad_lat)}, [str(bad_lat), "lat", "'abc'", f"id={first_id}"]),
+            ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "radius_km": float("nan")}, ["radius_km"]),
+            ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "radius_km": -1.0}, ["radius_km"]),
+        ]
+        for k, (command, config, fragments) in enumerate(cases):
+            cfg = write_json(tmp_path / f"bad{k}.json", config)
+            rc = run_cli([command, "--config", cfg, "--out-dir", str(tmp_path / f"o{k}")])
+            err = capsys.readouterr().err
+            assert rc == 2, (command, config)
+            assert err.startswith("error:"), err
+            for fragment in fragments:
+                assert fragment in err, (fragment, err)
 
     def test_thread_cap_env_applied(self, monkeypatch):
         monkeypatch.setenv("CISO_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         cisosdm._apply_thread_cap()
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    def test_cli_import_stays_light_and_src_has_no_asserts(self):
+        # scipy.spatial and scipy.stats add about 0.2 s and 1.1 s (2-vCPU machine) to every
+        # command's start-up; the KD-tree imports scipy.spatial where it is built.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cisosdm.__file__)))
+        code = "import sys, cisosdm.cli; print(sorted({'scipy.spatial', 'scipy.stats'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        # `python -O` strips assert statements, so checks in the package must raise.
+        package = os.path.dirname(cisosdm.__file__)
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), name)
+                lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+                assert not lines, f"{name} has assert statements at lines {lines}"
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads through Linux /proc")
     def test_thread_cap_limits_blas_threads_through_cli_import(self):

@@ -1,8 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cisosdm import colocate as co
 from cisosdm.dataio import Dataset
+
+
+def colocate_bruteforce(a, b, radius_km=1.0):
+    """O(|A| x |B|) reference join: the closest B record within the closed
+    radius, ties to the earlier B record."""
+    pairs = []
+    for i in range(a.n_records):
+        best = None
+        for j in range(b.n_records):
+            d = co.haversine_km((float(a.lats[i]), float(a.lons[i])), (float(b.lats[j]), float(b.lons[j])))
+            if d <= radius_km and (best is None or d < best[0]):
+                best = (d, j)
+        if best is not None:
+            pairs.append(co.CoLocation(a_id=a.ids[i], b_id=b.ids[best[1]], distance_km=best[0]))
+    return pairs
 
 
 def make_dataset(lats, lons, prefix="p", species=("x",), targets=None, split=None):
@@ -37,23 +54,6 @@ class TestBallTree:
         idx = co.build_index(np.array([10.0]), np.array([20.0]))
         hit = idx.nearest_within(10.0, 20.0, 1.0)
         assert hit == (0, 0.0)
-
-    def test_duplicates_both_returned_by_radius_query(self):
-        idx = co.build_index(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-        assert idx.query_radius(1.0, 2.0, 0.5) == [0, 1]
-
-    def test_radius_query_matches_linear_scan(self):
-        rng = np.random.default_rng(0)
-        lats = rng.uniform(45.0, 46.0, 1000)
-        lons = rng.uniform(7.0, 8.0, 1000)
-        idx = co.build_index(lats, lons)
-        for _ in range(25):
-            qlat, qlon = rng.uniform(45, 46), rng.uniform(7, 8)
-            r = rng.uniform(0.5, 20.0)
-            scan = sorted(
-                j for j in range(1000) if co.haversine_km((qlat, qlon), (lats[j], lons[j])) <= r
-            )
-            assert idx.query_radius(qlat, qlon, r) == scan
 
     def test_nearest_outside_radius_is_none(self):
         idx = co.build_index(np.array([0.0]), np.array([0.0]))
@@ -91,7 +91,7 @@ class TestColocate:
         a = make_dataset(rng.uniform(40, 40.3, 400), rng.uniform(-80, -79.7, 400), "a")
         b = make_dataset(rng.uniform(40, 40.3, 400), rng.uniform(-80, -79.7, 400), "b")
         fast = co.colocate(a, b, 1.0)
-        slow = co.colocate_bruteforce(a, b, 1.0)
+        slow = colocate_bruteforce(a, b, 1.0)
         assert [(p.a_id, p.b_id) for p in fast] == [(p.a_id, p.b_id) for p in slow]
         assert all(abs(x.distance_km - y.distance_km) < 1e-9 for x, y in zip(fast, slow))
 
@@ -116,6 +116,51 @@ class TestColocate:
         a = make_dataset(rng.uniform(0, 0.2, 150), rng.uniform(0, 0.2, 150), "a")
         b = make_dataset(rng.uniform(0, 0.2, 150), rng.uniform(0, 0.2, 150), "b")
         assert co.colocate(a, b, 1.0) == co.colocate(a, b, 1.0)
+
+
+def _cloud(draw, center, n, prefix):
+    """`n` sites within ~5 km of `center`, wrapped onto valid coordinates."""
+    lat0, lon0 = center
+    offsets = draw(st.lists(st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)), min_size=n, max_size=n))
+    lats = [min(90.0, max(-90.0, lat0 + dlat)) for dlat, _ in offsets]
+    lons = [(lon0 + dlon + 180.0) % 360.0 - 180.0 for _, dlon in offsets]
+    return make_dataset(lats, lons, prefix)
+
+
+@st.composite
+def join_case(draw):
+    """Two small clouds around one centre (mid-latitude, near a pole or
+    astride the antimeridian), with duplicated B sites and optionally a
+    radius equal to the exact distance of one A-B pair."""
+    center = draw(
+        st.one_of(
+            st.tuples(st.floats(-60.0, 60.0), st.floats(-179.0, 179.0)),
+            st.tuples(st.sampled_from([-89.99, 89.99]), st.floats(-180.0, 180.0)),
+            st.tuples(st.floats(-60.0, 60.0), st.sampled_from([-179.99, 179.99])),
+        )
+    )
+    a = _cloud(draw, center, draw(st.integers(1, 25)), "a")
+    b = _cloud(draw, center, draw(st.integers(1, 25)), "b")
+    repeats = draw(st.lists(st.integers(0, b.n_records - 1), max_size=5))
+    if repeats:
+        rows = np.concatenate([np.arange(b.n_records), repeats])
+        b = make_dataset(b.lats[rows], b.lons[rows], "b")
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, a.n_records - 1)), draw(st.integers(0, b.n_records - 1))
+        radius = co.haversine_km((float(a.lats[i]), float(a.lons[i])), (float(b.lats[j]), float(b.lons[j])))
+    else:
+        radius = draw(st.floats(0.0, 6.0))
+    return a, b, float(radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(join_case())
+def test_colocate_equals_bruteforce_property(case):
+    a, b, radius = case
+    fast = co.colocate(a, b, radius)
+    slow = colocate_bruteforce(a, b, radius)
+    assert [(p.a_id, p.b_id) for p in fast] == [(p.a_id, p.b_id) for p in slow]
+    assert all(abs(x.distance_km - y.distance_km) < 1e-9 for x, y in zip(fast, slow))
 
 
 class TestAttach:
@@ -190,7 +235,7 @@ class TestAttach:
         a = make_dataset(lats_a, lons_a, "a")
         b = make_dataset(lats_b, lons_b, "b")
         pairs = co.colocate(a, b, 1.0)
-        brute = co.colocate_bruteforce(a, b, 1.0)
+        brute = colocate_bruteforce(a, b, 1.0)
         assert [(p.a_id, p.b_id) for p in pairs] == [(p.a_id, p.b_id) for p in brute]
         combined = co.attach(a, b, pairs)
         assert combined.available[:, 1].sum() == len(pairs)

@@ -89,31 +89,6 @@ class TestLoadDataset:
         assert np.array_equal(back.group_masks["woody"], ds.group_masks["woody"])
 
 
-class TestFuzzyMerge:
-    def test_identical_strings_score_100(self):
-        assert dataio.indel_similarity("Carex cespitosa", "Carex cespitosa") == 100.0
-
-    def test_known_variant_spelling_scores_close_to_98(self):
-        score = dataio.indel_similarity("Echinochloa crus-galli", "Echinochloa crusgalli")
-        assert score >= 95.0
-        assert abs(score - 98.0) <= 3.0
-
-    def test_disjoint_strings_score_0(self):
-        assert dataio.indel_similarity("abc", "xyz") == 0.0
-
-    def test_proposals_sorted_and_thresholded(self):
-        roster = ["Carex cespitosa", "Carex caespitosa", "Pinus nigra", "abc"]
-        proposals = dataio.fuzzy_merge_species(roster, threshold=90.0)
-        assert proposals[0][:2] == ("Carex cespitosa", "Carex caespitosa")
-        assert all(score > 90.0 for *_, score in proposals)
-        scores = [score for *_, score in proposals]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_threshold_range_checked(self):
-        with pytest.raises(ValueError):
-            dataio.fuzzy_merge_species(["a"], threshold=150.0)
-
-
 def toy_dataset(targets, available=None, species=None):
     targets = np.asarray(targets, dtype=float)
     n, c = targets.shape
@@ -235,8 +210,10 @@ class TestSpatialBlockSplit:
             assert abs(got - frac) <= 0.05, (tag, got)
 
     def test_bad_fractions_rejected(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            dataio.spatial_block_split(np.array([0.0]), np.array([0.0]), 1.0, (0.5, 0.3, 0.3), seed=0)
+        bad = ((0.5, 0.3, 0.3), (0.5, 0.5), (0.7, 0.15, 0.15, 0.0), (1.5, -0.25, -0.25), (0.5, 0.5, float("nan")))
+        for fractions in bad:
+            with pytest.raises(ValueError, match="3 non-negative values .* sum to 1"):
+                dataio.spatial_block_split(np.array([0.0]), np.array([0.0]), 1.0, fractions, seed=0)
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(6)
@@ -341,3 +318,50 @@ def test_split_is_partition(seed):
     tags = dataio.spatial_block_split(lats, lons, 1.0, (0.7, 0.15, 0.15), seed=seed)
     assert len(tags) == n
     assert all(t in dataio.SPLIT_TAGS for t in tags)
+
+
+@st.composite
+def csv_datasets(draw):
+    """Small datasets with missing env and target cells, optional split tags
+    and optional species groups."""
+    n = draw(st.integers(1, 12))
+    n_env = draw(st.integers(1, 3))
+    species = draw(st.lists(st.text("abcxyz_-. ", min_size=1, max_size=6), min_size=1, max_size=5, unique=True))
+    c = len(species)
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    env = np.array(draw(st.lists(st.one_of(finite, st.just(float("nan"))), min_size=n * n_env, max_size=n * n_env)))
+    available = np.array(draw(st.lists(st.booleans(), min_size=n * c, max_size=n * c))).reshape(n, c)
+    targets = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * c, max_size=n * c))).reshape(n, c)
+    masks = st.lists(st.booleans(), min_size=c, max_size=c)
+    groups = draw(st.dictionaries(st.sampled_from(["drivers", "responders", "woody"]), masks))
+    split = draw(st.one_of(st.none(), st.lists(st.sampled_from(dataio.SPLIT_TAGS), min_size=n, max_size=n)))
+    return dataio.Dataset(
+        species=species,
+        ids=[f"r{i}" for i in range(n)],
+        lats=np.array(draw(st.lists(st.floats(-90.0, 90.0), min_size=n, max_size=n))),
+        lons=np.array(draw(st.lists(st.floats(-180.0, 180.0), min_size=n, max_size=n))),
+        env=env.reshape(n, n_env),
+        targets=np.where(available, targets, 0.0),
+        available=available,
+        group_masks={k: np.array(v) for k, v in groups.items()},
+        split=None if split is None else np.array(split, dtype=object),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(csv_datasets())
+def test_csv_roundtrip_property(tmp_path_factory, ds):
+    out = tmp_path_factory.mktemp("csv")
+    csv_path, cfg_path = str(out / "ds.csv"), str(out / "ds.json")
+    dataio.save_dataset(ds, csv_path, cfg_path)
+    back = dataio.load_dataset(csv_path, cfg_path)
+    assert back.species == ds.species and back.ids == ds.ids
+    for name in ("lats", "lons", "targets", "available"):
+        assert np.array_equal(getattr(back, name), getattr(ds, name)), name
+    assert np.array_equal(back.env, ds.env, equal_nan=True)
+    assert (back.split is None) == (ds.split is None)
+    if ds.split is not None:
+        assert list(back.split) == list(ds.split)
+    assert back.group_masks.keys() == ds.group_masks.keys()
+    for name, mask in ds.group_masks.items():
+        assert np.array_equal(back.group_masks[name], mask), name

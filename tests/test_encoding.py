@@ -79,7 +79,7 @@ def make_tables(mode, n_b=4, dim=8, n_species=3, seed=0):
 class TestStateEncoding:
     def test_discrete_row_count(self):
         tables = make_tables("discrete", n_b=4)
-        assert tables.state.n_rows == 6  # n_b + 2
+        assert tables.state.params["state_rows"].shape[0] == 6  # n_b + 2
 
     def test_unknown_shared_across_species(self):
         tables = make_tables("discrete")
@@ -110,12 +110,6 @@ class TestStateEncoding:
         rates = np.array([[0.0, 0.0, 0.4]])
         out = tables.state.encode(codes, rates)
         assert out.shape == (1, 3, 8)
-
-    def test_single_assignment_encoder(self):
-        tables = make_tables("discrete")
-        vec = enc.encode_state(enc.StateAssignment(enc.STATE_ABSENT, 0.0), tables.state)
-        assert vec.shape == (8,)
-        assert np.array_equal(vec.values, tables.state.params["state_rows"].values[1])
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):

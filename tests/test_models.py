@@ -1,9 +1,13 @@
 import json
+import os
 import struct
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cisosdm import models, numerics as nm
 from cisosdm.encoding import STATE_UNKNOWN, assign_states
@@ -391,3 +395,43 @@ class TestCheckpoint:
         dropped = header["arrays"].pop()
         nbytes = 8 * int(np.prod(dropped["shape"]))
         self.assert_rejected(path, self.with_header(header, arrays[:-nbytes]), f"'{dropped['name']}'", "missing")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    family=st.sampled_from(models.FAMILIES),
+    seed=st.integers(0, 2**16),
+    n_species=st.integers(1, 5),
+    n_env=st.integers(1, 4),
+    encoding=st.sampled_from(("discrete", "linear", "periodic")),
+    n_b=st.integers(1, 4),
+)
+def test_checkpoint_roundtrip_property(family, seed, n_species, n_env, encoding, n_b):
+    """Any family and shape: the loaded model predicts identically and saves
+    back to the same bytes."""
+    from cisosdm.dataio import fit_norm
+
+    rng = np.random.default_rng(seed)
+    maxent_config = fit_maxent(rng.normal(size=(30, n_env))) if family == "maxent" else None
+    spec = toy_spec(family, n_species=n_species, n_env=n_env, encoding=encoding, n_b=n_b)
+    tm = models.TrainedModel(
+        model=models.build_model(spec, seed=seed, maxent_config=maxent_config),
+        roster=[f"sp{i}" for i in range(n_species)],
+        norm=fit_norm(rng.normal(size=(20, n_env))),
+        maxent_config=maxent_config,
+        meta={"seed": seed},
+    )
+    env = rng.normal(size=(3, n_env))
+    codes = rates = None
+    if spec.uses_states:
+        targets, available, known = (rng.uniform(size=(3, n_species)) for _ in range(3))
+        codes, rates = assign_states(targets * (targets > 0.4), available < 0.8, known < 0.5, n_b)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
+        models.save_checkpoint(tm, first)
+        back = models.load_checkpoint(first)
+        models.save_checkpoint(back, second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+    assert back.roster == tm.roster and back.model.spec == spec
+    assert np.array_equal(back.model.predict(env, codes, rates), tm.model.predict(env, codes, rates))

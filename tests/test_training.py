@@ -39,13 +39,12 @@ def tiny_config(**kw):
 class TestSampleKnown:
     def test_no_available_species_gives_empty_set(self):
         rng = np.random.default_rng(0)
-        s = training.sample_known(np.zeros(8, bool), rng)
-        assert s.k == 0 and s.indices.size == 0
+        assert training.sample_known(np.zeros(8, bool), rng).size == 0
 
     def test_cap_never_exceeded(self):
         rng = np.random.default_rng(1)
         available = np.ones(4, bool)
-        ks = {training.sample_known(available, rng, 0.75).k for _ in range(300)}
+        ks = {training.sample_known(available, rng, 0.75).size for _ in range(300)}
         assert ks == {0, 1, 2, 3}  # floor(3/4 * 4) = 3, never 4
 
     def test_unavailable_never_sampled(self):
@@ -53,7 +52,7 @@ class TestSampleKnown:
         available = np.array([True, False, True, False, True])
         for _ in range(200):
             s = training.sample_known(available, rng)
-            assert all(available[i] for i in s.indices)
+            assert all(available[i] for i in s)
 
     def test_k_uniform_and_membership_uniform(self):
         rng = np.random.default_rng(3)
@@ -63,8 +62,8 @@ class TestSampleKnown:
         member_counts = np.zeros(8, dtype=int)
         for _ in range(draws):
             s = training.sample_known(available, rng, 0.75)
-            k_counts[s.k] += 1
-            member_counts[s.indices] += 1
+            k_counts[s.size] += 1
+            member_counts[s] += 1
         chi2 = scipy_stats.chisquare(k_counts)
         assert chi2.pvalue > 0.01
         # each species appears in C_known equally often
