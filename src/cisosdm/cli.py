@@ -47,13 +47,17 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _reject_unknown_keys(section: str, given: dict, cls, set_elsewhere: tuple[str, ...]) -> None:
-    """Raise unless every key of config section `given` names a field of the
-    dataclass `cls` that is not filled in from elsewhere."""
+def _section(config: dict, name: str, cls, set_elsewhere: tuple[str, ...]) -> dict:
+    """A copy of config section `name`; raise unless it is a JSON object whose
+    every key names a field of the dataclass `cls` not filled in from elsewhere."""
+    given = config.get(name, {})
+    if not isinstance(given, dict):
+        raise ValueError(f"config '{name}' must be a JSON object, not a {type(given).__name__}")
     allowed = {f.name for f in fields(cls)} - set(set_elsewhere)
     unknown = sorted(set(given) - allowed)
     if unknown:
-        raise ValueError(f"config '{section}' has unknown keys {unknown}; allowed: {sorted(allowed)}")
+        raise ValueError(f"config '{name}' has unknown keys {unknown}; allowed: {sorted(allowed)}")
+    return dict(given)
 
 
 def _sidecar(path: str, explicit: str | None) -> str | None:
@@ -72,17 +76,14 @@ def _load_dataset(config: dict, key: str = "dataset", config_key: str = "dataset
 
 def _train_config(config: dict, preset: str | None, seed: int) -> TrainConfig:
     base = PRESETS[preset] if preset else TrainConfig()
-    overrides = dict(config.get("train", {}))
-    _reject_unknown_keys("train", overrides, TrainConfig, ("seed",))
-    cfg = replace(base, seed=seed, **overrides)
+    cfg = replace(base, seed=seed, **_section(config, "train", TrainConfig, ("seed",)))
     cfg.validate()
     return cfg
 
 
 def _model_spec(config: dict, ds: dataio.Dataset, n_b: int) -> ModelSpec:
-    hyper = dict(config.get("hyperparams", {}))
+    hyper = _section(config, "hyperparams", ModelSpec, ("n_species", "n_env", "n_b"))
     family = config.get("family", hyper.pop("family", "ciso"))
-    _reject_unknown_keys("hyperparams", hyper, ModelSpec, ("family", "n_species", "n_env", "n_b"))
     return ModelSpec(family=family, n_species=ds.n_species, n_env=ds.n_env, n_b=n_b, **hyper)
 
 
@@ -135,10 +136,10 @@ def cmd_colocate(config: dict, out_dir: str, seed: int) -> list[str]:
 
 
 def cmd_train(config: dict, out_dir: str, seed: int, preset: str | None) -> list[str]:
+    if "target_group" in config:
+        raise ValueError("config key 'target_group' belongs in the train section: set train.target_group")
     ds = _load_dataset(config)
     cfg = _train_config(config, preset, seed)
-    if config.get("target_group"):
-        cfg = replace(cfg, target_group=config["target_group"])
     spec = _model_spec(config, ds, cfg.n_b)
     tm, history = training.train(ds, spec, cfg)
     ckpt_path = os.path.join(out_dir, "checkpoint.ckpt")
@@ -273,8 +274,7 @@ def cmd_ablate(config: dict, out_dir: str, seed: int) -> list[str]:
         )
         ds = dataio.assign_split(synthmod.generate(spec), seed=seed)
 
-    base_train = dict(config.get("train", {}))
-    _reject_unknown_keys("train", base_train, TrainConfig, ("seed",))
+    base_train = _section(config, "train", TrainConfig, ("seed",))
     base_train.setdefault("epochs", 2)
     base_train.setdefault("lr", 1e-3)
     base_train.setdefault("n_b", 4)

@@ -110,15 +110,11 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _not_numeric(path: str, column: str, cell: str, rid: str) -> SchemaError:
-    return SchemaError(f"{path}: non-numeric {column} value {cell!r} in row id={rid}")
-
-
 def _number(path: str, column: str, cell: str, rid: str) -> float:
     try:
         return float(cell)
     except ValueError:
-        raise _not_numeric(path, column, cell, rid) from None
+        raise SchemaError(f"{path}: non-numeric {column} value {cell!r} in row id={rid}") from None
 
 
 def load_dataset(path: str, config_path: str | None = None) -> Dataset:
@@ -177,7 +173,10 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
         ordered = sp_cols
 
     ids: list[str] = []
-    lats, lons, envs, tgts, avail, tags = [], [], [], [], [], []
+    lats, lons, tags = [], [], []
+    env = np.empty((len(rows), len(env_cols)))
+    targets = np.zeros((len(rows), len(ordered)))
+    available = np.zeros((len(rows), len(ordered)), dtype=bool)
     rejected = 0
     for row in rows:
         if len(row) != len(header):
@@ -188,32 +187,15 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
             rejected += 1
             continue
-        env = np.empty(len(env_cols))
-        for k, (_, i) in enumerate(env_cols):
-            cell = row[i]
-            if cell == "":
-                env[k] = np.nan  # imputed later by fit_norm
-                continue
-            try:
-                env[k] = float(cell)
-            except ValueError:
-                raise _not_numeric(path, header[i], cell, rid) from None
-        t = np.zeros(len(ordered))
-        a = np.zeros(len(ordered), dtype=bool)
-        for k, (_, i) in enumerate(ordered):
-            cell = row[i]
-            if cell != "":
-                try:
-                    t[k] = float(cell)
-                except ValueError:
-                    raise _not_numeric(path, header[i], cell, rid) from None
-                a[k] = True
+        k = len(ids)
+        # An empty env cell is missing (imputed later by fit_norm); an empty
+        # species cell is unavailable.
+        env[k] = [np.nan if row[i] == "" else _number(path, header[i], row[i], rid) for _, i in env_cols]
+        targets[k] = [0.0 if row[i] == "" else _number(path, header[i], row[i], rid) for _, i in ordered]
+        available[k] = [row[i] != "" for _, i in ordered]
         ids.append(rid)
         lats.append(lat)
         lons.append(lon)
-        envs.append(env)
-        tgts.append(t)
-        avail.append(a)
         if has_split:
             tags.append(row[col["split"]])
     if rejected:
@@ -231,18 +213,17 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
         if not set(np.unique(split)) <= set(SPLIT_TAGS):
             raise SchemaError(f"{path}: split column contains unknown tags")
 
-    ds = Dataset(
+    return Dataset(
         species=roster,
         ids=ids,
         lats=np.array(lats),
         lons=np.array(lons),
-        env=np.stack(envs) if envs else np.zeros((0, len(env_cols))),
-        targets=np.stack(tgts) if tgts else np.zeros((0, len(ordered))),
-        available=np.stack(avail) if avail else np.zeros((0, len(ordered)), dtype=bool),
+        env=env[: len(ids)],
+        targets=targets[: len(ids)],
+        available=available[: len(ids)],
         group_masks=group_masks,
         split=split,
     )
-    return ds
 
 
 def save_dataset(ds: Dataset, path: str, config_path: str | None = None) -> None:
@@ -311,6 +292,13 @@ def merge_targets(ds: Dataset, approved: list[tuple[str, str]]) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
+def _check_split_args(block_deg: float, fractions) -> None:
+    if not 0.0 < block_deg < np.inf:
+        raise ValueError(f"block_deg must be a finite positive number of degrees, got {block_deg}")
+    if len(fractions) != 3 or not all(f >= 0.0 for f in fractions) or not abs(sum(fractions) - 1.0) <= 1e-9:
+        raise ValueError(f"fractions must be 3 non-negative values (train, val, test) that sum to 1, got {fractions}")
+
+
 def spatial_block_split(
     lats: np.ndarray,
     lons: np.ndarray,
@@ -324,10 +312,7 @@ def spatial_block_split(
     blocks are shuffled with `seed` and each goes to the split with the
     largest remaining record-count deficit, so no block ever spans two splits.
     """
-    if block_deg <= 0:
-        raise ValueError("block_deg must be positive")
-    if len(fractions) != 3 or not all(f >= 0.0 for f in fractions) or not abs(sum(fractions) - 1.0) <= 1e-9:
-        raise ValueError(f"fractions must be 3 non-negative values (train, val, test) that sum to 1, got {fractions}")
+    _check_split_args(block_deg, fractions)
     lats = np.asarray(lats, dtype=float)
     lons = np.asarray(lons, dtype=float)
     n = lats.size
@@ -365,7 +350,9 @@ def spatial_block_split(
 
 
 def assign_split(ds: Dataset, block_deg: float = 1.0, fractions=(0.70, 0.15, 0.15), seed: int = 0) -> Dataset:
-    """Attach block-CV split tags unless the dataset already carries them."""
+    """Attach block-CV split tags unless the dataset already carries them.
+    The arguments are checked either way."""
+    _check_split_args(block_deg, fractions)
     if ds.split is not None:
         return ds
     tags = spatial_block_split(ds.lats, ds.lons, block_deg, fractions, seed)

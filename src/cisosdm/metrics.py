@@ -8,7 +8,7 @@ toolkit's tables: AUC and top-k as percentages, MAE and MSE scaled by 100.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,15 +34,11 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float | None:
 def _midranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank range."""
     order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size, dtype=float)
     sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size, dtype=float)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks
 
 
@@ -79,10 +75,14 @@ def mse(pred: np.ndarray, truth: np.ndarray, cell_mask: np.ndarray) -> float:
     return float((d * d).mean())
 
 
-def _topk_hits(pred_row: np.ndarray, positive_row: np.ndarray, k: int) -> int:
-    """Hits among the k highest predictions; ties break toward lower index."""
-    order = np.lexsort((np.arange(pred_row.size), -pred_row))
-    return int(positive_row[order[:k]].sum())
+def _top_hits(pred: np.ndarray, positive: np.ndarray, scored: np.ndarray, k) -> np.ndarray:
+    """Positives per row among its k highest-ranked scored species (k a
+    scalar or one per row). Rows rank scored species by prediction, highest
+    first, ties toward the lower species index; unscored species rank last."""
+    cols = np.arange(pred.shape[1])
+    order = np.lexsort((np.broadcast_to(cols, pred.shape), -pred, ~scored), axis=-1)
+    in_top = cols < np.reshape(k, (-1, 1))
+    return (np.take_along_axis(positive, order, axis=-1) & in_top).sum(axis=1)
 
 
 def topk_adaptive(pred: np.ndarray, truth: np.ndarray, cell_mask: np.ndarray) -> float:
@@ -92,40 +92,30 @@ def topk_adaptive(pred: np.ndarray, truth: np.ndarray, cell_mask: np.ndarray) ->
     location scores |top-k predictions ∩ positives| / k. Locations with k = 0
     are skipped.
     """
-    scores = []
-    for i in range(pred.shape[0]):
-        m = cell_mask[i]
-        if not m.any():
-            continue
-        p = pred[i, m]
-        positive = truth[i, m] > 0
-        k = int(positive.sum())
-        if k == 0:
-            continue
-        scores.append(_topk_hits(p, positive, k) / k)
-    if not scores:
+    scored = np.asarray(cell_mask, dtype=bool)
+    positive = (truth > 0) & scored
+    k = positive.sum(axis=1)
+    rows = k > 0
+    if not rows.any():
         raise ValueError("topk_adaptive: no locations with positive species")
-    return float(np.mean(scores) * 100.0)
+    k = k[rows]
+    return float(np.mean(_top_hits(pred[rows], positive[rows], scored[rows], k) / k) * 100.0)
 
 
 def topn_fixed(pred: np.ndarray, truth: np.ndarray, cell_mask: np.ndarray, n: int) -> float:
     """Top-n accuracy in percent with n fixed; normalized by min(n, #positives)."""
-    scores = []
-    for i in range(pred.shape[0]):
-        m = cell_mask[i]
-        if not m.any():
-            continue
-        if n > int(m.sum()):
-            raise ValueError(f"topn_fixed: n={n} exceeds the {int(m.sum())} scored species")
-        p = pred[i, m]
-        positive = truth[i, m] > 0
-        n_pos = int(positive.sum())
-        if n_pos == 0:
-            continue
-        scores.append(_topk_hits(p, positive, n) / min(n, n_pos))
-    if not scores:
+    scored = np.asarray(cell_mask, dtype=bool)
+    n_scored = scored.sum(axis=1)
+    short = (n_scored > 0) & (n_scored < n)
+    if short.any():
+        raise ValueError(f"topn_fixed: n={n} exceeds the {int(n_scored[short][0])} scored species")
+    positive = (truth > 0) & scored
+    n_pos = positive.sum(axis=1)
+    rows = n_pos > 0
+    if not rows.any():
         raise ValueError("topn_fixed: no locations with positive species")
-    return float(np.mean(scores) * 100.0)
+    hits = _top_hits(pred[rows], positive[rows], scored[rows], n)
+    return float(np.mean(hits / np.minimum(n, n_pos[rows])) * 100.0)
 
 
 @dataclass
@@ -141,32 +131,7 @@ class EvalReport:
     n_locations: int = 0
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(
-            {
-                "protocol": self.protocol,
-                "kind": self.kind,
-                "aggregates": self.aggregates,
-                "skipped_species": self.skipped_species,
-                "skipped_locations": self.skipped_locations,
-                "n_locations": self.n_locations,
-                "per_species": self.per_species,
-            },
-            indent=indent,
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        d = json.loads(text)
-        return cls(
-            protocol=d["protocol"],
-            kind=d["kind"],
-            per_species=d["per_species"],
-            aggregates=d["aggregates"],
-            skipped_species=d["skipped_species"],
-            skipped_locations=d["skipped_locations"],
-            n_locations=d["n_locations"],
-        )
+        return json.dumps(asdict(self), indent=indent, sort_keys=True)
 
 
 def evaluate_matrix(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -52,12 +53,22 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}; choose from {FAMILIES}")
+        for name in ("n_species", "n_env", "hidden_dim", "transformer_layers", "heads", "n_b"):
+            value = getattr(self, name)
+            low = 0 if name in ("n_env", "transformer_layers") else 1
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if isinstance(self.dropout, bool) or not isinstance(self.dropout, Real) or not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
         if self.hidden_dim % self.heads != 0:
             raise ValueError(f"hidden_dim {self.hidden_dim} not divisible by heads {self.heads}")
-        if self.n_b < 1:
-            raise ValueError("n_b must be >= 1")
         if self.mlp_hidden is not None:
-            self.mlp_hidden = tuple(int(w) for w in self.mlp_hidden)
+            widths = self.mlp_hidden
+            if not isinstance(widths, (list, tuple)) or not all(
+                isinstance(w, Integral) and not isinstance(w, bool) and w >= 1 for w in widths
+            ):
+                raise ValueError(f"mlp_hidden must be a list of integers >= 1, got {widths!r}")
+            self.mlp_hidden = tuple(int(w) for w in widths)
 
     @property
     def trunk_widths(self) -> tuple[int, ...]:
@@ -72,9 +83,6 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        d = dict(d)
-        if d.get("mlp_hidden") is not None:
-            d["mlp_hidden"] = tuple(d["mlp_hidden"])
         return cls(**d)
 
 

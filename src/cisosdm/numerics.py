@@ -8,25 +8,23 @@ arrays it allocated itself, never into an input's ``.values`` nor into the
 gradient ``g`` its backward rule receives; both may be shared with other
 tensors, with other tape entries, or with the caller's arrays.
 
-Gradient recording happens on an explicitly scoped :class:`Tape`; outside a
-tape every op is a plain numpy computation, which is how inference runs. All
-math is float64 so that finite-difference checks stay tight.
+The module-level functions are the surface: `Tensor` defines no arithmetic
+operators. Gradient recording happens on an explicitly scoped :class:`Tape`;
+outside a tape every op is a plain numpy computation, which is how inference
+runs. All math is float64 so that finite-difference checks stay tight.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-log = logging.getLogger(__name__)
-
 DTYPE = np.float64
 
-# Clamp for log/sigmoid/BCE inputs; prevents infinities without visible bias.
+# Clamp for sigmoid outputs and BCE inputs; prevents infinities without visible bias.
 CLAMP_EPS = 1e-12
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -57,31 +55,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" '{self.name}'" if self.name else ""
         return f"<Tensor{tag} shape={self.shape} requires_grad={self.requires_grad}>"
-
-    # Operator sugar; the module-level functions are the real surface.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def as_tensor(x) -> Tensor:
@@ -259,19 +232,6 @@ def add(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.values - b.values)
-
-    def bwd(g):
-        return (
-            _reduce_to(g, a.shape) if a.requires_grad else None,
-            _reduce_to(-g, b.shape) if b.requires_grad else None,
-        )
-
-    return _record(out, (a, b), bwd)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.values * b.values)
@@ -331,27 +291,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def bwd(g):
         return (g * s * (1.0 - s),)
-
-    return _record(out, (x,), bwd)
-
-
-_log_clamp_warned = False
-
-
-def log(x: Tensor) -> Tensor:
-    """Natural log; non-positive inputs are clamped at CLAMP_EPS (warns once)."""
-    global _log_clamp_warned
-    x = as_tensor(x)
-    v = x.values
-    if np.any(v < CLAMP_EPS) and not _log_clamp_warned:
-        log_ = logging.getLogger(__name__)
-        log_.warning("log() input clamped at %g; further clamps are silent", CLAMP_EPS)
-        _log_clamp_warned = True
-    clamped = np.maximum(v, CLAMP_EPS)
-    out = Tensor(np.log(clamped))
-
-    def bwd(g):
-        return (g * np.where(v >= CLAMP_EPS, 1.0 / clamped, 0.0),)
 
     return _record(out, (x,), bwd)
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -27,8 +28,6 @@ from .metrics import EvalReport, evaluate_matrix, macro_auc, topk_adaptive
 from .models import Model, ModelSpec, TrainedModel, build_model, predict_batch_rows
 
 log = logging.getLogger(__name__)
-
-LMT_FAMILIES = ("mlp++", "ciso")
 
 
 @dataclass
@@ -43,14 +42,18 @@ class TrainConfig:
     target_group: str | None = None  # restrict the loss to one species group
 
     def validate(self) -> None:
-        for name in ("lr", "weight_decay"):
+        rules = (
+            ("lr", Real, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
+            ("weight_decay", Real, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
+            ("mask_cap_fraction", Real, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+            ("epochs", Integral, lambda v: v >= 1, "an integer >= 1"),
+            ("batch_size", Integral, lambda v: v >= 1, "an integer >= 1"),
+            ("n_b", Integral, lambda v: v >= 1, "an integer >= 1"),
+        )
+        for name, kind, ok, wanted in rules:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-        if not 0.0 <= self.mask_cap_fraction <= 1.0:
-            raise ValueError("mask_cap_fraction must be in [0, 1]")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+                raise ValueError(f"{name} must be {wanted}, got {value!r}")
 
 
 # Hyperparameter presets for the three standard setups.
@@ -126,7 +129,6 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
 
     target_mask = ds.group_mask(config.target_group) if config.target_group else np.ones(ds.n_species, bool)
     binary = ds.is_binary()
-    lmt = spec.family in LMT_FAMILIES
 
     shuffle_rng = _rng(config.seed, 2)
     lmt_rng = _rng(config.seed, 3)
@@ -147,7 +149,7 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
             y = ds.targets[batch]
             avail = ds.available[batch]
             codes = rates = None
-            if lmt:
+            if spec.uses_states:
                 known = _known_matrix(avail, lmt_rng, config.mask_cap_fraction)
                 codes, rates = assign_states(y, avail, known, config.n_b)
                 loss_mask = avail & ~known & target_mask
@@ -167,7 +169,7 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
         val_pred = _predict_with_states(model, env_n[val_idx], None, None)
         metric_uncond = _selection_metric(val_pred, ds.targets[val_idx], ds.available[val_idx], target_mask, binary)
         metric_cond = float("nan")
-        if lmt:
+        if spec.uses_states:
             val_known = _known_matrix(ds.available[val_idx], _rng(val_rng_seed, 100 + epoch), config.mask_cap_fraction)
             codes, rates = assign_states(ds.targets[val_idx], ds.available[val_idx], val_known, config.n_b)
             cond_pred = _predict_with_states(model, env_n[val_idx], codes, rates)
@@ -186,16 +188,9 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
         )
         log.info("epoch %d: loss %.4f val %.4f", epoch, history[-1]["train_loss"], metric_uncond)
 
-        def snapshot():
-            return {k: p.values.copy() for k, p in model.params.items()}
-
-        if best is None:
-            best = (metric_uncond, epoch, snapshot())
-        elif np.isfinite(metric_uncond) and (not np.isfinite(best[0]) or metric_uncond > best[0]):
-            best = (metric_uncond, epoch, snapshot())
-        elif not np.isfinite(metric_uncond) and not np.isfinite(best[0]):
-            # no validation signal anywhere yet: fall through to the latest epoch
-            best = (metric_uncond, epoch, snapshot())
+        # Ties keep the earlier epoch; a NaN never replaces a finite best.
+        if best is None or not math.isfinite(best[0]) or metric_uncond > best[0]:
+            best = (metric_uncond, epoch, {k: p.values.copy() for k, p in model.params.items()})
 
     for name, values in best[2].items():
         model.params[name].values = values
@@ -208,30 +203,14 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
             "selection_epoch": best[1],
             "selection_metric": "auc" if binary else "topk",
             "selection_value": best[0],
-            "train_config": {
-                "lr": config.lr,
-                "batch_size": config.batch_size,
-                "epochs": config.epochs,
-                "seed": config.seed,
-                "n_b": config.n_b,
-                "mask_cap_fraction": config.mask_cap_fraction,
-                "weight_decay": config.weight_decay,
-                "target_group": config.target_group,
-            },
+            "train_config": asdict(config),
         },
     )
     return tm, history
 
 
 def _predict_with_states(model: Model, env: np.ndarray, codes, rates) -> np.ndarray:
-    batch_size = predict_batch_rows(model.spec)
-    if not model.spec.uses_states:
-        return model.predict(env, batch_size=batch_size)
-    c = model.spec.n_species
-    if codes is None:
-        codes = np.zeros((env.shape[0], c), dtype=np.int64)
-        rates = np.zeros((env.shape[0], c))
-    return model.predict(env, codes, rates, batch_size=batch_size)
+    return model.predict(env, codes, rates, batch_size=predict_batch_rows(model.spec))
 
 
 def select_checkpoint_dual(history_a: list[float], history_b: list[float]) -> int:

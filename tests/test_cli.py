@@ -319,6 +319,19 @@ class TestErrors:
             ("train", {"dataset": dataset, "train": {"lr": "fast"}}, ["lr", "fast"]),
             ("train", {"dataset": dataset, "train": {"weight_decay": -1.0}}, ["weight_decay"]),
             ("train", {"dataset": str(bad_lat)}, [str(bad_lat), "lat", "'abc'", f"id={first_id}"]),
+            ("train", {"dataset": dataset, "train": 5}, ["'train'", "JSON object"]),
+            ("train", {"dataset": dataset, "hyperparams": 3}, ["'hyperparams'", "JSON object"]),
+            ("train", {"dataset": dataset, "train": {"batch_size": "64"}}, ["batch_size", "'64'"]),
+            ("train", {"dataset": dataset, "train": {"mask_cap_fraction": "0.5"}}, ["mask_cap_fraction", "'0.5'"]),
+            ("train", {"dataset": dataset, "train": {"epochs": 1.5}}, ["epochs", "1.5"]),
+            ("train", {"dataset": dataset, "train": {"n_b": True}}, ["n_b", "True"]),
+            ("train", {"dataset": dataset, "hyperparams": {"hidden_dim": "8"}}, ["hidden_dim", "'8'"]),
+            ("train", {"dataset": dataset, "hyperparams": {"dropout": 1.5}}, ["dropout", "1.5"]),
+            ("train", {"dataset": dataset, "hyperparams": {"mlp_hidden": 5}}, ["mlp_hidden", "5"]),
+            ("train", {"dataset": dataset, "hyperparams": {"mlp_hidden": [8.7]}}, ["mlp_hidden", "8.7"]),
+            ("train", {"dataset": dataset, "target_group": "responders"}, ["train.target_group"]),
+            ("prepare", {"dataset": dataset, "fractions": [0.5, 0.5]}, ["fractions"]),
+            ("prepare", {"dataset": dataset, "block_deg": -1}, ["block_deg"]),
             ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "radius_km": float("nan")}, ["radius_km"]),
             ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "radius_km": -1.0}, ["radius_km"]),
         ]

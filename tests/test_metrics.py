@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,9 @@ class TestAUC:
                 assert got is None
             else:
                 assert abs(got - expected) < 1e-12
+        tied = np.full(12, 0.25)  # one run of ties spanning every score
+        labels = np.arange(12) % 2
+        assert metrics.auc(tied, labels) == auc_pair_counting(tied, labels) == 0.5
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -105,7 +110,41 @@ def topk_enumeration(pred, truth, mask):
         ranked = sorted(cols, key=lambda j: (-pred[i, j], j))
         best = set(ranked[:k])
         scores.append(len(best & positives) / k)
+    if not scores:
+        raise ValueError("no locations with positive species")
     return float(np.mean(scores) * 100.0)
+
+
+def topn_bruteforce(pred, truth, mask, n):
+    """Oracle: rank each location's scored species by hand; raises where topn_fixed must."""
+    scores = []
+    for i in range(pred.shape[0]):
+        cols = [j for j in range(pred.shape[1]) if mask[i, j]]
+        if cols and len(cols) < n:
+            raise ValueError("n exceeds the scored species")
+        positives = {j for j in cols if truth[i, j] > 0}
+        if not positives:
+            continue
+        ranked = sorted(cols, key=lambda j: (-pred[i, j], j))
+        scores.append(len(set(ranked[:n]) & positives) / min(n, len(positives)))
+    if not scores:
+        raise ValueError("no locations with positive species")
+    return float(np.mean(scores) * 100.0)
+
+
+def outcome(fn, *args):
+    """The value of `fn(*args)`, or the string "ValueError" if it raises one."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return "ValueError"
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert abs(got - want) < 1e-12
 
 
 class TestTopK:
@@ -137,15 +176,16 @@ class TestTopK:
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(4)
+        raised = 0
         for _ in range(100):
             pred = rng.choice(np.linspace(0, 1, 7), size=(5, 6))
-            truth = (rng.random((5, 6)) < 0.5).astype(float)
+            truth = (rng.random((5, 6)) < rng.choice([0.05, 0.5])).astype(float)
             mask = rng.random((5, 6)) < 0.8
-            try:
-                got = metrics.topk_adaptive(pred, truth, mask)
-            except ValueError:
-                continue
-            assert abs(got - topk_enumeration(pred, truth, mask)) < 1e-12
+            mask[rng.integers(5)] = rng.random() < 0.5  # sometimes an all-false row
+            want = outcome(topk_enumeration, pred, truth, mask)
+            assert_same_outcome(outcome(metrics.topk_adaptive, pred, truth, mask), want)
+            raised += want == "ValueError"
+        assert 0 < raised < 100
 
 
 class TestTopN:
@@ -171,21 +211,17 @@ class TestTopN:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(6)
         n = 3
-        for _ in range(100):
+        raised = 0
+        for _ in range(200):
             pred = rng.choice(np.linspace(0, 1, 5), size=(4, 7))
             truth = (rng.random((4, 7)) < 0.5).astype(float)
-            mask = np.ones((4, 7), bool)
-            scores = []
-            for i in range(4):
-                positives = {j for j in range(7) if truth[i, j] > 0}
-                if not positives:
-                    continue
-                ranked = sorted(range(7), key=lambda j: (-pred[i, j], j))
-                hits = len(set(ranked[:n]) & positives)
-                scores.append(hits / min(n, len(positives)))
-            if not scores:
-                continue
-            assert abs(metrics.topn_fixed(pred, truth, mask, n) - np.mean(scores) * 100.0) < 1e-12
+            # Full and partial masks, some rows all false, some with fewer than n scored species.
+            mask = rng.random((4, 7)) < rng.choice([0.5, 0.8, 1.0])
+            mask[rng.integers(4)] = rng.random() < 0.5
+            want = outcome(topn_bruteforce, pred, truth, mask, n)
+            assert_same_outcome(outcome(metrics.topn_fixed, pred, truth, mask, n), want)
+            raised += want == "ValueError"
+        assert 0 < raised < 200
 
 
 class TestEvalReport:
@@ -199,9 +235,9 @@ class TestEvalReport:
         report = metrics.evaluate_matrix(pred, truth, available, target, species, "proto", "rates")
         assert report.aggregates["mae_x100"] == pytest.approx(metrics.mae(pred, truth, available) * 100)
         assert 0 <= report.aggregates["topk_pct"] <= 100
-        back = metrics.EvalReport.from_json(report.to_json())
-        assert back.aggregates == report.aggregates
-        assert back.per_species == report.per_species
+        back = json.loads(report.to_json())
+        assert back["aggregates"] == report.aggregates
+        assert back["per_species"] == report.per_species
 
     def test_binary_report_uses_auc(self):
         rng = np.random.default_rng(8)

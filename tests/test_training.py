@@ -115,6 +115,24 @@ class TestTrainLoop:
         tm, _ = training.train(ds, tiny_spec(), tiny_config(target_group="responders"))
         assert tm.meta["train_config"]["target_group"] == "responders"
 
+    def test_best_epoch_rule_skips_nan_and_keeps_earlier_ties(self, monkeypatch):
+        # A finite epoch replaces a NaN incumbent, a NaN never replaces a finite
+        # one, and a tie keeps the earlier epoch.
+        script = [float("nan"), 0.5, float("nan"), 0.5, 0.7, 0.7]
+        ds = small_dataset(n=120)
+        runs = {}
+        for epochs in (5, 6):
+            values = iter(script)
+            monkeypatch.setattr(training, "_selection_metric", lambda *args: next(values))
+            runs[epochs], history = training.train(ds, tiny_spec("mlp"), tiny_config(epochs=epochs, batch_size=16))
+            np.testing.assert_array_equal([h["val_metric_uncond"] for h in history], script[:epochs])
+        tm = runs[6]
+        assert tm.meta["selection_epoch"] == 4
+        assert tm.meta["selection_value"] == 0.7
+        # The restored parameters are those after epoch 4: the last epoch of the 5-epoch run.
+        for name, p in tm.model.params.items():
+            np.testing.assert_array_equal(p.values, runs[5].model.params[name].values)
+
     def test_empty_validation_split_falls_back_to_last_epoch(self):
         from cisosdm.dataio import assign_split
 
