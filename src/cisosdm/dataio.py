@@ -117,6 +117,20 @@ def _number(path: str, column: str, cell: str, rid: str) -> float:
         raise SchemaError(f"{path}: non-numeric {column} value {cell!r} in row id={rid}") from None
 
 
+def _line_ends(path: str) -> int:
+    """Line ends in the file, counting ``\n``, ``\r\n`` and ``\r`` once each
+    as the csv reader does. A header plus N records span at least N + 1
+    lines, so this bounds N without holding the file."""
+    count, prev_cr = 0, False
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            count += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            if prev_cr and chunk.startswith(b"\n"):
+                count -= 1  # a \r\n split across two chunks
+            prev_cr = chunk.endswith(b"\r")
+    return count
+
+
 def load_dataset(path: str, config_path: str | None = None) -> Dataset:
     """Load the documented CSV format, validating coordinates and env values.
 
@@ -135,7 +149,6 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        rows = list(reader)
 
     missing = [c for c in ("id", "lat", "lon") if c not in header]
     if missing:
@@ -172,32 +185,38 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
         roster = header_species
         ordered = sp_cols
 
+    # Rows stream from the file into arrays sized by its line count; the
+    # file's text is never held whole.
+    capacity = _line_ends(path)
     ids: list[str] = []
     lats, lons, tags = [], [], []
-    env = np.empty((len(rows), len(env_cols)))
-    targets = np.zeros((len(rows), len(ordered)))
-    available = np.zeros((len(rows), len(ordered)), dtype=bool)
+    env = np.empty((capacity, len(env_cols)))
+    targets = np.zeros((capacity, len(ordered)))
+    available = np.zeros((capacity, len(ordered)), dtype=bool)
     rejected = 0
-    for row in rows:
-        if len(row) != len(header):
-            raise SchemaError(f"{path}: row with {len(row)} cells does not match {len(header)}-column header")
-        rid = row[col["id"]]
-        lat = _number(path, "lat", row[col["lat"]], rid)
-        lon = _number(path, "lon", row[col["lon"]], rid)
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            rejected += 1
-            continue
-        k = len(ids)
-        # An empty env cell is missing (imputed later by fit_norm); an empty
-        # species cell is unavailable.
-        env[k] = [np.nan if row[i] == "" else _number(path, header[i], row[i], rid) for _, i in env_cols]
-        targets[k] = [0.0 if row[i] == "" else _number(path, header[i], row[i], rid) for _, i in ordered]
-        available[k] = [row[i] != "" for _, i in ordered]
-        ids.append(rid)
-        lats.append(lat)
-        lons.append(lon)
-        if has_split:
-            tags.append(row[col["split"]])
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if len(row) != len(header):
+                raise SchemaError(f"{path}: row with {len(row)} cells does not match {len(header)}-column header")
+            rid = row[col["id"]]
+            lat = _number(path, "lat", row[col["lat"]], rid)
+            lon = _number(path, "lon", row[col["lon"]], rid)
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                rejected += 1
+                continue
+            k = len(ids)
+            # An empty env cell is missing (imputed later by fit_norm); an
+            # empty species cell is unavailable.
+            env[k] = [np.nan if row[i] == "" else _number(path, header[i], row[i], rid) for _, i in env_cols]
+            targets[k] = [0.0 if row[i] == "" else _number(path, header[i], row[i], rid) for _, i in ordered]
+            available[k] = [row[i] != "" for _, i in ordered]
+            ids.append(rid)
+            lats.append(lat)
+            lons.append(lon)
+            if has_split:
+                tags.append(row[col["split"]])
     if rejected:
         log.warning("%s: rejected %d rows with out-of-range coordinates", path, rejected)
 

@@ -8,6 +8,12 @@ arrays it allocated itself, never into an input's ``.values`` nor into the
 gradient ``g`` its backward rule receives; both may be shared with other
 tensors, with other tape entries, or with the caller's arrays.
 
+Lifetime rule: the tape holds backward rules and graph links, not op
+outputs. Each rule captures only the arrays it reads, so an output lives
+while the caller or a backward rule holds it; pre-softmax scores, for
+example, are freed as soon as the softmax returns. `backward` drops the
+whole graph when it is done, also for outputs the caller still holds.
+
 The module-level functions are the surface: `Tensor` defines no arithmetic
 operators. Gradient recording happens on an explicitly scoped :class:`Tape`;
 outside a tape every op is a plain numpy computation, which is how inference
@@ -17,6 +23,7 @@ runs. All math is float64 so that finite-difference checks stay tight.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -31,15 +38,17 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient slot."""
+    """Dense float64 array with an optional gradient slot; `node` is the tape
+    entry that produced it, or None for a leaf or a constant."""
 
-    __slots__ = ("values", "requires_grad", "grad", "name")
+    __slots__ = ("values", "requires_grad", "grad", "name", "node", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         self.values = np.asarray(values, dtype=DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.name = name
+        self.node: _Entry | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -62,12 +71,30 @@ def as_tensor(x) -> Tensor:
 
 
 class _Entry:
-    __slots__ = ("out", "inputs", "backward")
+    """One recorded op. `inputs` holds, per input, the entry that produced it,
+    the leaf tensor that receives its gradient, or None for a constant;
+    `grad` is the upstream gradient pending for the op's output."""
+
+    __slots__ = ("_out", "inputs", "backward", "grad")
 
     def __init__(self, out: Tensor, inputs: tuple[Tensor, ...], backward):
-        self.out = out
-        self.inputs = inputs
+        self._out = weakref.ref(out)
+        # A tensor whose entry `backward` has released counts as a leaf.
+        self.inputs = tuple(
+            t.node if t.node is not None and t.node.backward is not None else (t if t.requires_grad else None)
+            for t in inputs
+        )
         self.backward = backward
+        self.grad: np.ndarray | None = None
+
+    @property
+    def out(self) -> Tensor:
+        """The op's output while something holds it, else an empty tensor."""
+        out = self._out()
+        return _FREED if out is None else out
+
+
+_FREED = Tensor(np.empty(0))
 
 
 class _ActiveTape(threading.local):
@@ -106,41 +133,35 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
     tape = _active.tape
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.entries.append(_Entry(out, inputs, backward))
+        out.node = _Entry(out, inputs, backward)
+        tape.entries.append(out.node)
     return out
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate chain-rule gradients for every requires_grad tensor reachable
-    from `loss`, then clear the tape.
+    from `loss`, then release the graph and clear the tape.
 
     Gradients add into any existing ``.grad`` (parameter reuse is additive);
     call ``AdamW.zero_grad`` between steps.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not any(e.out is loss for e in tape.entries):
+    if loss.node is None or not any(e is loss.node for e in tape.entries):
         raise ValueError("loss tensor was not produced on this tape")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
+    loss.node.grad = np.ones_like(loss.values)
     for entry in reversed(tape.entries):
-        g = grads.pop(id(entry.out), None)
+        g, entry.grad = entry.grad, None
         if g is None:
             continue
-        for inp, gin in zip(entry.inputs, entry.backward(g)):
-            if gin is None or not inp.requires_grad:
-                continue
-            key = id(inp)
-            grads[key] = grads[key] + gin if key in grads else gin
-    # Whatever was never popped belongs to leaves; attach it.
-    leaves: dict[int, Tensor] = {}
+        for src, gin in zip(entry.inputs, entry.backward(g)):
+            if gin is not None and src is not None:
+                src.grad = gin if src.grad is None else src.grad + gin
+    # Outputs the caller still holds would otherwise keep the graph alive
+    # through their `node`.
     for entry in tape.entries:
-        for inp in entry.inputs:
-            leaves.setdefault(id(inp), inp)
-    for key, g in grads.items():
-        t = leaves.get(key)
-        if t is not None and t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
+        entry.backward = entry.inputs = entry.grad = None
     tape.entries.clear()
 
 
@@ -222,11 +243,13 @@ def _linear(a: Tensor, w: Tensor, bias: Tensor | None) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.values + b.values)
+    a_shape = a.shape if a.requires_grad else None
+    b_shape = b.shape if b.requires_grad else None
 
     def bwd(g):
         return (
-            _reduce_to(g, a.shape) if a.requires_grad else None,
-            _reduce_to(g, b.shape) if b.requires_grad else None,
+            None if a_shape is None else _reduce_to(g, a_shape),
+            None if b_shape is None else _reduce_to(g, b_shape),
         )
 
     return _record(out, (a, b), bwd)
@@ -250,7 +273,8 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.values, 0.0))
 
     def bwd(g):
-        return (g * (x.values > 0.0),)
+        # y > 0 exactly where x > 0 (NaN included), so the input can go.
+        return (g * (out.values > 0.0),)
 
     return _record(out, (x,), bwd)
 
@@ -324,6 +348,10 @@ def softmax_rows(x: Tensor) -> Tensor:
     out = Tensor(s)
 
     def bwd(g):
+        # Reads only the output, so the (..., L, L) input is not kept. It
+        # holds the output tensor, not just its array, so that the tape
+        # counts the array as live.
+        s = out.values
         gx = g - _row_dot(g, s)
         gx *= s
         return (gx,)
@@ -363,10 +391,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_values = xhat * gain.values
     out_values += bias.values
     out = Tensor(out_values)
+    x_grad, bias_grad = x.requires_grad, bias.requires_grad
 
     def bwd(g):
         gx = gg = gb = None
-        if x.requires_grad:
+        if x_grad:
             # inv · (ĝ - mean(ĝ) - x̂ · mean(ĝ x̂)), with ĝ = g · gain
             gxhat = g * gain.values
             gx = xhat * (_row_dot(gxhat, xhat) / n)
@@ -375,8 +404,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             gx *= inv
         if gain.requires_grad:
             gg = np.einsum("ij,ij->j", g.reshape(-1, n), xhat.reshape(-1, n))
-        if bias.requires_grad:
-            gb = _reduce_to(g, bias.shape)
+        if bias_grad:
+            gb = _reduce_to(g, (n,))
         return gx, gg, gb
 
     return _record(out, (x, gain, bias), bwd)
@@ -423,9 +452,10 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
     out = Tensor(x.values[idx])
+    shape = x.shape
 
     def bwd(g):
-        full = np.zeros_like(x.values)
+        full = np.zeros(shape)
         full[idx] = g
         return (full,)
 
@@ -437,9 +467,10 @@ def gather_rows(table: Tensor, index: np.ndarray) -> Tensor:
     table = as_tensor(table)
     index = np.asarray(index)
     out = Tensor(table.values[index])
+    shape = table.shape
 
     def bwd(g):
-        gt = np.zeros_like(table.values)
+        gt = np.zeros(shape)
         np.add.at(gt, index, g)
         return (gt,)
 
@@ -449,9 +480,10 @@ def gather_rows(table: Tensor, index: np.ndarray) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     x = as_tensor(x)
     out = Tensor(x.values.sum())
+    shape = x.shape
 
     def bwd(g):
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _record(out, (x,), bwd)
 
@@ -459,11 +491,12 @@ def sum_all(x: Tensor) -> Tensor:
 def sum_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     out = Tensor(x.values.sum(axis=axis, keepdims=keepdims))
+    shape = x.shape
 
     def bwd(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _record(out, (x,), bwd)
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,63 @@ class TestLoadDataset:
             ds = dataio.load_dataset(write_csv(tmp_path, text))
         assert ds.n_records == 2
         assert any("rejected 1" in r.message for r in caplog.records)
+
+    def test_ragged_row_fails_after_rejected_rows(self, tmp_path):
+        text = BASIC + "r3,95.0,20.0,1.0,1.0,1.0,1.0,1.0\nr4,1.0,2.0,1.0\n"
+        with pytest.raises(dataio.SchemaError, match="row with 4 cells does not match 8-column header"):
+            dataio.load_dataset(write_csv(tmp_path, text))
+
+    def test_rejected_rows_are_trimmed_from_every_array(self, tmp_path):
+        text = BASIC.replace("r2,11.0,", "r2,-91.0,") + "r3,12.0,190.0,1.0,1.0,1.0,1.0,1.0\nr4,13.0,23.0,7.0,8.0,,1.0,0.0\n"
+        ds = dataio.load_dataset(write_csv(tmp_path, text))
+        assert ds.ids == ["r1", "r4"]
+        assert np.array_equal(ds.lats, [10.0, 13.0])
+        assert np.array_equal(ds.env, [[1.5, 0.5], [7.0, 8.0]])
+        assert np.array_equal(ds.targets, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        assert np.array_equal(ds.available, [[True, True, True], [False, True, True]])
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+    def test_every_csv_line_end_loads_every_row(self, tmp_path, line_end):
+        text = BASIC.replace("\n", line_end) + "r3,12.0,22.0,3.5,2.5,1.0,1.0,1.0"  # no final line end
+        ds = dataio.load_dataset(write_csv(tmp_path, text))
+        assert ds.ids == ["r1", "r2", "r3"]
+        assert np.array_equal(ds.env[:, 0], [1.5, 2.5, 3.5])
+
+    def test_quoted_newline_in_id_roundtrips(self, tmp_path):
+        ds = dataio.load_dataset(write_csv(tmp_path, BASIC))
+        ds.ids = ["plot\n1", "plot,\r\n2"]
+        out_csv = str(tmp_path / "out.csv")
+        dataio.save_dataset(ds, out_csv)
+        back = dataio.load_dataset(out_csv)
+        assert back.ids == ds.ids
+        assert np.array_equal(back.targets, ds.targets) and np.array_equal(back.env, ds.env)
+
+    def test_peak_memory_stays_near_the_returned_arrays(self, tmp_path):
+        # The loader streams rows into arrays sized up front; it must not
+        # hold the file's text (several times the arrays) at any point.
+        rng = np.random.default_rng(0)
+        n, c = 2000, 50
+        available = rng.random((n, c)) < 0.9
+        ds = dataio.Dataset(
+            species=[f"s{j}" for j in range(c)],
+            ids=[f"r{i}" for i in range(n)],
+            lats=rng.uniform(-60.0, 60.0, n),
+            lons=rng.uniform(-170.0, 170.0, n),
+            env=rng.normal(size=(n, 5)),
+            targets=((rng.random((n, c)) < 0.3) & available).astype(float),
+            available=available,
+        )
+        path = str(tmp_path / "big.csv")
+        dataio.save_dataset(ds, path)
+        tracemalloc.start()
+        try:
+            back = dataio.load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (back.lats, back.lons, back.env, back.targets, back.available))
+        assert peak <= 2 * returned + 0.5 * 2**20, (peak, returned)
+        assert np.array_equal(back.targets, ds.targets) and np.array_equal(back.available, ds.available)
 
     def test_split_column_ingested(self, tmp_path):
         text = (

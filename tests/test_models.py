@@ -3,6 +3,7 @@ import os
 import struct
 import tempfile
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -138,6 +139,36 @@ class TestCISO:
         out = m.forward(env, codes, rates).values
         assert out.shape == (3, 4)
         assert np.all((out > 0) & (out < 1))
+
+    def test_training_forward_frees_pre_softmax_scores(self, monkeypatch):
+        scores = []
+        softmax_rows = nm.softmax_rows
+
+        def spy(x):
+            scores.append(weakref.ref(x))
+            return softmax_rows(x)
+
+        monkeypatch.setattr(nm, "softmax_rows", spy)
+        m = models.build_model(toy_spec("ciso", dropout=0.2), seed=3)
+        env, targets, available, known, codes, rates = toy_batch(seed=4)
+        with nm.Tape() as tape:
+            pred = m.forward(env, codes, rates, training=True, rng=np.random.default_rng(5))
+            assert len(scores) == m.spec.transformer_layers
+            assert all(ref() is None for ref in scores)
+            nm.backward(tape, nm.bce_masked(pred, targets, available & ~known))
+        assert all(p.grad is not None for p in m.params.values())
+
+    def test_tape_keeps_two_attention_arrays_per_block(self):
+        # The softmax output (its backward reads it) and its dropout (the
+        # value mix reads that); the pre-softmax scores are not kept.
+        spec = toy_spec("ciso", dropout=0.2)
+        m = models.build_model(spec, seed=3)
+        env, *_, codes, rates = toy_batch(seed=4)
+        length = spec.n_species + 1
+        with nm.Tape() as tape:
+            m.forward(env, codes, rates, training=True, rng=np.random.default_rng(5))
+            shapes = [e.out.shape for e in tape.entries]
+        assert shapes.count((3, spec.heads, length, length)) == 2 * spec.transformer_layers
 
     def test_species_permutation_equivariance(self):
         m = models.build_model(toy_spec("ciso"), seed=1)

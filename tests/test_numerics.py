@@ -1,3 +1,4 @@
+import weakref
 import zlib
 
 import numpy as np
@@ -145,6 +146,62 @@ class TestBackward:
         with nm.Tape() as tape:
             nm.backward(tape, nm.sum_all(nm.add(nm.mul(x, 3.0), nm.mul(x, 5.0))))
         assert np.allclose(x.grad, [8.0])
+
+    def test_parameter_used_twice_gets_both_gradients_and_calls_add(self):
+        # Integer-valued operands keep every sum exact, so equality is exact.
+        w = nm.Tensor([[1.0, 2.0], [0.0, -1.0]], requires_grad=True)
+        x = np.array([[1.0, 3.0], [2.0, -2.0], [0.0, 1.0]])
+
+        def step():
+            with nm.Tape() as tape:
+                nm.backward(tape, nm.sum_all(nm.matmul(nm.matmul(nm.Tensor(x), w), w)))
+
+        step()
+        ones = np.ones((3, 2))
+        once = x.T @ ones @ w.values.T + (x @ w.values).T @ ones  # d sum(x w w) / dw
+        assert np.array_equal(w.grad, once)
+        step()
+        assert np.array_equal(w.grad, 2 * once)
+
+    def test_loss_from_an_earlier_tape_rejected(self):
+        x = nm.Tensor([1.0, 2.0], requires_grad=True)
+        with nm.Tape() as tape:
+            done = nm.sum_all(nm.mul(x, x))
+            nm.backward(tape, done)
+        with nm.Tape() as tape:
+            abandoned = nm.sum_all(nm.mul(x, x))
+        for loss in (done, abandoned):
+            with nm.Tape() as tape:
+                nm.sum_all(nm.mul(x, x))
+                with pytest.raises(ValueError, match="not produced on this tape"):
+                    nm.backward(tape, loss)
+
+    def test_output_of_a_finished_tape_is_a_leaf_on_the_next(self):
+        x = nm.Tensor([1.0, 2.0], requires_grad=True)
+        with nm.Tape() as tape:
+            y = nm.mul(x, x)
+            nm.backward(tape, nm.sum_all(y))
+        x.grad = None
+        with nm.Tape() as tape:
+            nm.backward(tape, nm.sum_all(nm.mul(y, 3.0)))
+        assert np.array_equal(y.grad, [3.0, 3.0])
+        assert x.grad is None
+
+    def test_backward_releases_the_graph_its_outputs_hold(self):
+        rng = np.random.default_rng(6)
+        w = nm.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        with nm.Tape() as tape:
+            h = nm.matmul(nm.Tensor(rng.normal(size=(5, 3))), w)
+            gelu_input = weakref.ref(h)
+            pred = nm.sigmoid(nm.gelu(h))
+            del h
+            loss = nm.bce_masked(pred, np.ones((5, 4)), np.ones((5, 4), bool))
+            assert gelu_input() is not None  # the gelu backward reads it
+            nm.backward(tape, loss)
+        # `pred` and `loss` are still held, and so are their entries.
+        assert gelu_input() is None
+        assert tape.entries == []
+        assert pred.node is not None and loss.node is not None and w.grad is not None
 
     def test_random_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(3)
