@@ -11,13 +11,18 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
+import numpy as np
+import scipy
+
 from . import __version__, colocate as co, dataio, synth as synthmod, training
 from .metrics import format_report_table
-from .models import ModelSpec, load_checkpoint, mlp_widths_for_depth, save_checkpoint
+from .models import ModelSpec, load_checkpoint, mlp_widths_for_depth, predict_workers, save_checkpoint
+from .numerics import blas_threads
 from .training import PRESETS, EvalProtocol, TrainConfig
 
 
@@ -30,6 +35,13 @@ class RunManifest:
     outputs: list[str] = field(default_factory=list)
     toolkit_version: str = __version__
     wall_clock_s: float = 0.0
+    # BLAS threads in effect when the run started (None: no BLAS setter
+    # found) and the threads `Model.predict` runs on.
+    blas_threads: int | None = None
+    predict_workers: int = 1
+    versions: dict = field(
+        default_factory=lambda: {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+    )
 
     def write(self, out_dir: str) -> None:
         path = os.path.join(out_dir, "manifest.json")
@@ -381,6 +393,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler, options = COMMANDS[args.command]
     try:
+        workers = predict_workers()
+        blas = blas_threads()
         config = _load_config(args.config)
         os.makedirs(args.out_dir, exist_ok=True)
         started = time.time()
@@ -392,6 +406,8 @@ def main(argv: list[str] | None = None) -> int:
             inputs=[args.config] if args.config else [],
             outputs=[os.path.basename(o) for o in outputs],
             wall_clock_s=round(time.time() - started, 3),
+            blas_threads=blas,
+            predict_workers=workers,
         )
         manifest.write(args.out_dir)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

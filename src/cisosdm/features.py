@@ -32,12 +32,12 @@ class MaxentConfig:
     n_hinge_knots: int
     n_thresholds: int
 
-    def hinge_knots(self, v: int) -> np.ndarray:
+    def hinge_knots(self, v: int | np.ndarray) -> np.ndarray:
         lo, hi = self.lo[v], self.hi[v]
         k = np.arange(1, self.n_hinge_knots)
         return lo + k * (hi - lo) / self.n_hinge_knots
 
-    def thresholds(self, v: int) -> np.ndarray:
+    def thresholds(self, v: int | np.ndarray) -> np.ndarray:
         lo, hi = self.lo[v], self.hi[v]
         k = np.arange(1, self.n_thresholds + 1)
         return lo + k * (hi - lo) / (self.n_thresholds + 1)
@@ -97,25 +97,27 @@ def expand(env: np.ndarray, config: MaxentConfig) -> np.ndarray:
 
     Feature order per retained variable: linear, quadratic, forward hinges,
     reverse hinges, thresholds; then all pairwise products (i < j). Inputs
-    outside the train range are clamped to the boundary first.
+    outside the train range are clamped to the boundary first. Each family
+    is one numpy op over all variables, so a batch costs a few dozen calls,
+    not one per feature.
     """
     env = np.atleast_2d(np.asarray(env, dtype=float))
-    cols = []
-    clamped = {}
-    for v in config.kept:
-        lo, hi = config.lo[v], config.hi[v]
-        x = np.clip(env[:, v], lo, hi)
-        clamped[v] = x
-        cols.append(x)
-        cols.append(x * x)
-        for t in config.hinge_knots(v):
-            cols.append(np.clip((x - t) / (hi - t), 0.0, 1.0))
-        for t in config.hinge_knots(v):
-            cols.append(np.clip((t - x) / (t - lo), 0.0, 1.0))
-        for t in config.thresholds(v):
-            cols.append((x > t).astype(float))
-    kept = list(config.kept)
-    for a in range(len(kept)):
-        for b in range(a + 1, len(kept)):
-            cols.append(clamped[kept[a]] * clamped[kept[b]])
-    return np.stack(cols, axis=1) if cols else np.zeros((env.shape[0], 0))
+    kept = config.kept
+    x = np.clip(env[:, kept], config.lo[kept], config.hi[kept])  # (N, K)
+    column = kept[:, None]  # the schedules below come out as (K, n) rows
+    lo, hi = config.lo[column], config.hi[column]
+    knots, steps = config.hinge_knots(column), config.thresholds(column)
+    xs = x[:, :, None]
+    per_var = np.concatenate(
+        [
+            xs,
+            xs * xs,
+            np.clip((xs - knots) / (hi - knots), 0.0, 1.0),
+            np.clip((knots - xs) / (knots - lo), 0.0, 1.0),
+            (xs > steps).astype(float),
+        ],
+        axis=2,
+    )
+    first, second = np.triu_indices(len(kept), k=1)
+    n, k, per = per_var.shape
+    return np.concatenate([per_var.reshape(n, k * per), x[:, first] * x[:, second]], axis=1)

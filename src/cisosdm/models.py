@@ -11,13 +11,16 @@ the architecture is species-permutation equivariant by construction.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
 
-from . import numerics as nm
+from . import ciso_threads, numerics as nm
 from .dataio import NormStats
 from .encoding import EmbeddingTables, species_tokens
 from .features import MaxentConfig, expand
@@ -101,6 +104,20 @@ def predict_batch_rows(spec: ModelSpec) -> int:
     return max(1, min(MAX_PREDICT_ROWS, PREDICT_BUDGET_BYTES // row_bytes))
 
 
+def predict_workers() -> int:
+    """Threads `Model.predict` runs on: ``CISO_THREADS`` if set, else the CPUs
+    this process may run on; 1 when no BLAS thread setter is found. A bad
+    ``CISO_THREADS`` raises ValueError."""
+    setting = ciso_threads()
+    if nm.blas_threads() is None:
+        return 1
+    if setting is not None:
+        return setting
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def mlp_widths_for_depth(depth: int, hidden_dim: int = 256) -> tuple[int, ...]:
     """Hidden widths for a depth-ablation MLP; widths double past 3 layers."""
     if depth < 2:
@@ -139,21 +156,41 @@ class Model:
         raise NotImplementedError
 
     def predict(self, env: np.ndarray, codes=None, rates=None, batch_size: int = MAX_PREDICT_ROWS) -> np.ndarray:
-        """Tape-free batched inference; returns a (N, C) numpy matrix.
+        """Batched inference that records nothing on any tape; returns a (N, C)
+        numpy matrix.
 
-        Batches hold at most `batch_size` rows and never more than
-        :func:`predict_batch_rows` allows for this model.
+        The batches run on :func:`predict_workers` threads, the caller's
+        included; when there is more than one batch, BLAS is held at one
+        thread for the call. A batch holds at most `batch_size` rows and a
+        1/W share of :func:`predict_batch_rows`, so the batches in flight
+        together stay within that budget.
         """
-        if env.shape[0] == 0:
-            return np.zeros((0, self.spec.n_species))
-        rows = min(batch_size, predict_batch_rows(self.spec))
-        outs = []
-        for start in range(0, env.shape[0], rows):
-            sl = slice(start, start + rows)
-            c = codes[sl] if codes is not None else None
-            r = rates[sl] if rates is not None else None
-            outs.append(self.forward(env[sl], c, r).values)
-        return np.concatenate(outs, axis=0)
+        n = env.shape[0]
+        out = np.empty((n, self.spec.n_species))
+        workers = predict_workers()
+        rows = min(batch_size, max(1, predict_batch_rows(self.spec) // workers))
+        starts = range(0, n, rows)
+        shares = max(1, min(workers, len(starts)))
+
+        def run(share: int) -> None:
+            for start in starts[share::shares]:
+                sl = slice(start, start + rows)
+                c = codes[sl] if codes is not None else None
+                r = rates[sl] if rates is not None else None
+                out[sl] = self.forward(env[sl], c, r).values
+
+        # One batch runs on the caller alone and keeps BLAS's threads; more
+        # batches give the cores to the workers. Turning on the batch count,
+        # not on W, keeps predictions independent of W whenever `rows` is.
+        blas = nm.one_blas_thread() if len(starts) > 1 else nullcontext()
+        # The caller runs a share too: its malloc arena already holds the
+        # memory a training step freed, which fresh worker arenas do not.
+        with nm.tape_suspended(), blas, ThreadPoolExecutor(max(1, shares - 1)) as pool:
+            helpers = [pool.submit(run, share) for share in range(1, shares)]
+            run(0)
+            for helper in helpers:
+                helper.result()
+        return out
 
 
 class LinearModel(Model):

@@ -18,12 +18,17 @@ The module-level functions are the surface: `Tensor` defines no arithmetic
 operators. Gradient recording happens on an explicitly scoped :class:`Tape`;
 outside a tape every op is a plain numpy computation, which is how inference
 runs. All math is float64 so that finite-difference checks stay tight.
+The module also reads and holds the BLAS thread count (`blas_threads`,
+`one_blas_thread`), which is process-wide.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 import weakref
+from contextlib import contextmanager
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -126,6 +131,17 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+@contextmanager
+def tape_suspended():
+    """Record nothing on this thread's tape inside the block; the tape, if
+    any, is live again when the block exits."""
+    tape, _active.tape = _active.tape, None
+    try:
+        yield
+    finally:
+        _active.tape = tape
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
@@ -577,3 +593,74 @@ class AdamW:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _blas() -> tuple | None:
+    """The (set, get) thread-count functions of the BLAS numpy calls, or None.
+
+    They are looked up through numpy's own extension module, which resolves
+    them in the BLAS it links. The first OpenBLAS mapped into the process is
+    not always that one: `scipy.stats` loads scipy's separate copy.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):
+        setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
+
+
+def blas_threads() -> int | None:
+    """The BLAS thread count in effect, or None when no BLAS setter is found."""
+    blas = _blas()
+    return None if blas is None else blas[1]()
+
+
+_blas_lock = threading.Lock()
+_blas_holds = 0
+_blas_saved = 0
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with BLAS at one thread.
+
+    The count is process-wide, so holds are counted under a lock: the first
+    block to enter saves the count and the last one to leave restores it,
+    also when the block raises. While any block runs, every BLAS call in the
+    process is single-threaded.
+    """
+    global _blas_holds, _blas_saved
+    blas = _blas()
+    if blas is None:
+        yield
+        return
+    setter, getter = blas
+    with _blas_lock:
+        if _blas_holds == 0:
+            _blas_saved = getter()
+            setter(1)
+        _blas_holds += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holds -= 1
+            if _blas_holds == 0:
+                setter(_blas_saved)

@@ -1,14 +1,16 @@
 import ast
 import json
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 
 import cisosdm
-from cisosdm import cli
+from cisosdm import cli, models, numerics as nm
 
 
 def run_cli(args):
@@ -64,6 +66,13 @@ class TestSynthCommand:
         assert manifest["seed"] == 5
         assert "dataset.csv" in manifest["outputs"]
         assert manifest["toolkit_version"]
+        assert manifest["blas_threads"] == nm.blas_threads()
+        assert manifest["predict_workers"] == models.predict_workers() >= 1
+        assert manifest["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
 
     def test_oracle_report_has_headroom(self, synth_bundle):
         report = json.loads((synth_bundle / "oracle_report.json").read_text())
@@ -344,11 +353,25 @@ class TestErrors:
             for fragment in fragments:
                 assert fragment in err, (fragment, err)
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_thread_setting_exits_2_on_every_command(self, monkeypatch, tmp_path, capsys, value):
+        monkeypatch.setenv("CISO_THREADS", value)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        cisosdm._apply_thread_cap()
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        for command in cli.COMMANDS:
+            rc = run_cli([command, "--out-dir", str(tmp_path / command)])
+            err = capsys.readouterr().err
+            assert rc == 2, command
+            assert err.startswith("error: CISO_THREADS must be a positive integer"), err
+            assert repr(value) in err
+
     def test_thread_cap_env_applied(self, monkeypatch):
         monkeypatch.setenv("CISO_THREADS", "2")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)  # also undoes what the cap sets
         cisosdm._apply_thread_cap()
-        assert os.environ["OMP_NUM_THREADS"] == "2"
+        assert os.environ["OMP_NUM_THREADS"] == os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
     def test_cli_import_stays_light_and_src_has_no_asserts(self):
         # scipy.spatial and scipy.stats add about 0.2 s and 1.1 s (2-vCPU machine) to every

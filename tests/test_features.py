@@ -94,9 +94,16 @@ class TestExpand:
         rng = np.random.default_rng(1)
         train = rng.normal(size=(40, 5))
         cfg = features.fit_maxent(train)
-        for _ in range(20):
-            x = rng.normal(size=5) * 1.5
-            assert np.allclose(features.expand(x[None, :], cfg)[0], scalar_expand(x, cfg))
+        rows = rng.normal(size=(20, 5)) * 1.5
+        expanded = features.expand(rows, cfg)
+        for x, row in zip(rows, expanded):
+            assert np.array_equal(row, scalar_expand(x, cfg))  # same arithmetic, so bit-equal
+
+    def test_no_rows_or_no_kept_variables_keep_their_shape(self):
+        cfg = features.fit_maxent(np.random.default_rng(4).normal(size=(30, 3)))
+        assert features.expand(np.zeros((0, 3)), cfg).shape == (0, cfg.n_features)
+        constant = features.fit_maxent(np.ones((5, 3)))
+        assert features.expand(np.zeros((4, 3)), constant).shape == (4, 0)
 
     def test_hinges_bounded_and_thresholds_binary(self):
         rng = np.random.default_rng(2)

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import sys
 import tempfile
 import threading
 import weakref
@@ -291,6 +292,113 @@ class TestPredictBudget:
             assert errors == []
             nm.backward(tape, nm.bce_masked(pred, targets, available & ~known))
         assert all(p.grad is not None for p in m.params.values())
+
+
+needs_blas = pytest.mark.skipif(nm.blas_threads() is None, reason="no BLAS thread setter found")
+
+
+class TestParallelPredict:
+    @pytest.mark.parametrize("family", ["ciso", "mlp++"])
+    @pytest.mark.parametrize("batch_size", [1, 7, 50])
+    @pytest.mark.parametrize("n", [2, 53])
+    def test_predictions_do_not_depend_on_workers(self, monkeypatch, family, batch_size, n):
+        # 53 rows leave an uneven last batch and share; 2 rows are fewer than 3 workers.
+        m = models.build_model(toy_spec(family, dropout=0.1), seed=30)
+        env, _, _, _, codes, rates = toy_batch(seed=31, n=n)
+        preds = []
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("CISO_THREADS", str(workers))
+            preds.append(m.predict(env, codes, rates, batch_size=batch_size))
+        for pred in preds[1:]:
+            assert pred.tobytes() == preds[0].tobytes()
+        with nm.one_blas_thread():
+            rows = [m.forward(env[i : i + 1], codes[i : i + 1], rates[i : i + 1]).values[0] for i in range(n)]
+        assert np.abs(preds[0] - np.array(rows)).max() <= 1e-12
+
+    def test_workers_split_the_budget_and_hold_blas_for_several_batches(self, monkeypatch):
+        spec = toy_spec("ciso", n_species=40, hidden_dim=64, heads=4, transformer_layers=1)
+        budget = models.predict_batch_rows(spec)
+        m = models.build_model(spec, seed=32)
+        env, _, _, _, codes, rates = toy_batch(seed=33, n=budget + 5, n_species=40)
+        seen = []
+        forward = m.forward
+
+        def recording_forward(env, codes=None, rates=None, **kw):
+            seen.append((env.shape[0], nm.blas_threads()))
+            return forward(env, codes, rates, **kw)
+
+        monkeypatch.setattr(m, "forward", recording_forward)
+        monkeypatch.setenv("CISO_THREADS", "3")
+        workers = models.predict_workers()
+        before = nm.blas_threads()
+        m.predict(env, codes, rates)
+        assert sum(rows for rows, _ in seen) == env.shape[0]
+        assert max(rows for rows, _ in seen) == max(1, budget // workers)
+        assert {threads for _, threads in seen} == {None if before is None else 1}
+        seen.clear()
+        m.predict(env[:3], codes[:3], rates[:3])  # one batch keeps BLAS's threads
+        assert seen == [(3, before)]
+
+    def test_predict_records_nothing_on_the_callers_tape(self):
+        m = models.build_model(toy_spec("ciso"), seed=34)
+        env, _, _, _, codes, rates = toy_batch(seed=35, n=9)
+        with nm.Tape() as tape:
+            m.forward(env, codes, rates)
+            entries = len(tape)
+            m.predict(env, codes, rates, batch_size=2)
+            assert len(tape) == entries
+            m.forward(env, codes, rates)
+            assert len(tape) == 2 * entries
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+    def test_bad_thread_setting_rejected(self, monkeypatch, value):
+        m = models.build_model(toy_spec("mlp"), seed=36)
+        monkeypatch.setenv("CISO_THREADS", value)
+        with pytest.raises(ValueError, match="CISO_THREADS"):
+            m.predict(np.zeros((2, 5)))
+
+    @needs_blas
+    def test_blas_count_restored_after_concurrent_and_failing_predicts(self, monkeypatch):
+        monkeypatch.setenv("CISO_THREADS", "2")
+        before = nm.blas_threads()
+        m = models.build_model(toy_spec("ciso"), seed=37)
+        env, _, _, _, codes, rates = toy_batch(seed=38, n=40)
+        expected = m.predict(env, codes, rates)
+        results, errors = [], []
+
+        def infer():
+            try:
+                for _ in range(5):
+                    results.append(m.predict(env, codes, rates, batch_size=3))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=infer) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert len(results) == 20 and all(np.abs(r - expected).max() <= 1e-12 for r in results)
+        assert nm.blas_threads() == before
+        with pytest.raises(ValueError, match="broadcast"):
+            m.predict(env, codes[:, :2], rates, batch_size=3)
+        assert nm.blas_threads() == before
+
+    @needs_blas
+    def test_one_blas_thread_holds_nest(self):
+        before = nm.blas_threads()
+        with nm.one_blas_thread():
+            with nm.one_blas_thread():
+                assert nm.blas_threads() == 1
+            assert nm.blas_threads() == 1
+        assert nm.blas_threads() == before
 
 
 class TestGradients:
