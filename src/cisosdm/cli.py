@@ -223,11 +223,14 @@ def cmd_map(config: dict, out_dir: str, seed: int) -> list[str]:
 
 def cmd_synth(config: dict, out_dir: str, seed: int) -> list[str]:
     benchmark = config.get("benchmark")
+    if benchmark not in (None, "interaction", "null"):
+        raise ValueError(f"config 'benchmark' must be 'interaction', 'null' or unset, got {benchmark!r}")
+    rate_mode = config.get("rate_mode", False)
+    if not isinstance(rate_mode, bool):
+        raise ValueError(f"config 'rate_mode' must be true or false, got {rate_mode!r}")
     if benchmark == "interaction":
         spec = synthmod.interaction_benchmark_spec(
-            n_locations=int(config.get("n_locations", 5000)),
-            seed=seed,
-            rate_mode=bool(config.get("rate_mode", False)),
+            n_locations=int(config.get("n_locations", 5000)), seed=seed, rate_mode=rate_mode
         )
     elif benchmark == "null":
         spec = synthmod.null_benchmark_spec(n_locations=int(config.get("n_locations", 5000)), seed=seed)
@@ -239,7 +242,7 @@ def cmd_synth(config: dict, out_dir: str, seed: int) -> list[str]:
             edges=[tuple(e) for e in config.get("edges", [])],
             env_scale=float(config.get("env_scale", 1.0)),
             noise=float(config.get("noise", 0.5)),
-            rate_mode=bool(config.get("rate_mode", False)),
+            rate_mode=rate_mode,
             missing_rate=float(config.get("missing_rate", 0.0)),
             seed=seed,
         )
@@ -270,6 +273,7 @@ def cmd_synth(config: dict, out_dir: str, seed: int) -> list[str]:
 ENCODING_SWEEP = (("4bins", "discrete", 4), ("1bin", "discrete", 1), ("periodic", "periodic", 4), ("linear", "linear", 4))
 DEPTH_SWEEP = (3, 5, 6, 7)
 DIM_SWEEP = (64, 128, 256)
+SWEEPS = ("all", "encoding", "depth", "dim")
 
 
 def _ablate_metrics(report) -> dict:
@@ -278,6 +282,9 @@ def _ablate_metrics(report) -> dict:
 
 
 def cmd_ablate(config: dict, out_dir: str, seed: int) -> list[str]:
+    sweeps = config.get("sweep", "all")
+    if sweeps not in SWEEPS:
+        raise ValueError(f"config 'sweep' must be one of {list(SWEEPS)}, got {sweeps!r}")
     if "dataset" in config:
         ds = _load_dataset(config)
     else:
@@ -291,7 +298,6 @@ def cmd_ablate(config: dict, out_dir: str, seed: int) -> list[str]:
     base_train.setdefault("lr", 1e-3)
     base_train.setdefault("n_b", 4)
     hidden = int(config.get("hidden_dim", 32))
-    sweeps = config.get("sweep", "all")
     both = (
         ("unconditioned", EvalProtocol("uncond", None, "responders")),
         ("conditioned", EvalProtocol("cond", "drivers", "responders")),
@@ -326,9 +332,10 @@ def cmd_ablate(config: dict, out_dir: str, seed: int) -> list[str]:
         for depth in DEPTH_SWEEP:
             tm = train_once("mlp", mlp_hidden=mlp_widths_for_depth(depth, hidden), hidden_dim=hidden)
             rows += scored(tm, {"model": f"mlp-{depth}"}, both[:1], n_params=tm.model.param_count())
-        for family in ("mlp++", "ciso"):
+        for family in ("linear", "maxent", "mlp++", "ciso"):
             tm = train_once(family, hidden_dim=hidden)
-            rows += scored(tm, {"model": family}, n_params=tm.model.param_count())
+            protocols = both if tm.model.spec.uses_states else both[:1]
+            rows += scored(tm, {"model": family}, protocols, n_params=tm.model.param_count())
 
     if sweeps in ("all", "dim"):
         rows = tables["dim"] = []

@@ -75,11 +75,7 @@ def feature_count(d: int, n_hinge_knots: int = DEFAULT_HINGE_KNOTS, n_thresholds
     return d * (2 + 2 * (n_hinge_knots - 1) + n_thresholds) + d * (d - 1) // 2
 
 
-def fit_maxent(
-    train_env: np.ndarray,
-    n_hinge_knots: int = DEFAULT_HINGE_KNOTS,
-    n_thresholds: int = DEFAULT_THRESHOLDS,
-) -> MaxentConfig:
+def fit_maxent(train_env: np.ndarray) -> MaxentConfig:
     """Fix knot/threshold schedules from the train split's per-variable ranges.
 
     Constant variables (min == max) are excluded, consistent with the
@@ -89,7 +85,7 @@ def fit_maxent(
     lo = train_env.min(axis=0)
     hi = train_env.max(axis=0)
     kept = np.flatnonzero(hi > lo)
-    return MaxentConfig(lo=lo, hi=hi, kept=kept, n_hinge_knots=n_hinge_knots, n_thresholds=n_thresholds)
+    return MaxentConfig(lo=lo, hi=hi, kept=kept, n_hinge_knots=DEFAULT_HINGE_KNOTS, n_thresholds=DEFAULT_THRESHOLDS)
 
 
 def expand(env: np.ndarray, config: MaxentConfig) -> np.ndarray:

@@ -162,15 +162,17 @@ class Model:
         The batches run on :func:`predict_workers` threads, the caller's
         included; when there is more than one batch, BLAS is held at one
         thread for the call. A batch holds at most `batch_size` rows and a
-        1/W share of :func:`predict_batch_rows`, so the batches in flight
-        together stay within that budget.
+        1/W share of :func:`predict_batch_rows`, and no more batches run at
+        once than that budget has rows, so the batches in flight together
+        stay within it.
         """
         n = env.shape[0]
         out = np.empty((n, self.spec.n_species))
         workers = predict_workers()
-        rows = min(batch_size, max(1, predict_batch_rows(self.spec) // workers))
+        budget = predict_batch_rows(self.spec)
+        rows = min(batch_size, max(1, budget // workers))
         starts = range(0, n, rows)
-        shares = max(1, min(workers, len(starts)))
+        shares = max(1, min(workers, len(starts), budget))
 
         def run(share: int) -> None:
             for start in starts[share::shares]:

@@ -38,6 +38,8 @@ DTYPE = np.float64
 
 # Clamp for sigmoid outputs and BCE inputs; prevents infinities without visible bias.
 CLAMP_EPS = 1e-12
+# Added to the variance before layer norm's inverse square root.
+LAYER_NORM_EPS = 1e-5
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -395,14 +397,14 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift by (n,) vectors."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     n = x.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ValueError(f"layer_norm gain {gain.shape} and bias {bias.shape} must both be ({n},)")
     xhat = x.values - x.values.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / n + eps)
+    inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / n + LAYER_NORM_EPS)
     xhat *= inv
     out_values = xhat * gain.values
     out_values += bias.values
@@ -555,18 +557,11 @@ class AdamW:
     counter is per-parameter and strictly increasing.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, weight_decay: float = 0.01):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.state = {
             name: {"m": np.zeros_like(p.values), "v": np.zeros_like(p.values), "t": 0}

@@ -209,14 +209,10 @@ def oracle_report(model: SynthModel, ds: Dataset, reveal_mask: np.ndarray, score
     }
 
 
-def interaction_benchmark_spec(
-    n_locations: int = 5000,
-    seed: int = 0,
-    interaction: float = 4.0,
-    rate_mode: bool = False,
-) -> SynthSpec:
+def interaction_benchmark_spec(n_locations: int = 5000, seed: int = 0, rate_mode: bool = False) -> SynthSpec:
     """A 10-species, 5-env community where the second half of the roster
     responds strongly to the first half."""
+    interaction = 4.0
     edges = [
         (0, 5, interaction),
         (1, 6, -interaction),

@@ -25,7 +25,7 @@ from .dataio import Dataset, apply_norm, fit_norm
 from .encoding import assign_states
 from .features import fit_maxent
 from .metrics import EvalReport, evaluate_matrix, macro_auc, topk_adaptive
-from .models import Model, ModelSpec, TrainedModel, build_model, predict_batch_rows
+from .models import ModelSpec, TrainedModel, build_model
 
 log = logging.getLogger(__name__)
 
@@ -166,13 +166,13 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
             optimizer.zero_grad()
             losses.append(value)
 
-        val_pred = _predict_with_states(model, env_n[val_idx], None, None)
+        val_pred = model.predict(env_n[val_idx])
         metric_uncond = _selection_metric(val_pred, ds.targets[val_idx], ds.available[val_idx], target_mask, binary)
         metric_cond = float("nan")
         if spec.uses_states:
             val_known = _known_matrix(ds.available[val_idx], _rng(val_rng_seed, 100 + epoch), config.mask_cap_fraction)
             codes, rates = assign_states(ds.targets[val_idx], ds.available[val_idx], val_known, config.n_b)
-            cond_pred = _predict_with_states(model, env_n[val_idx], codes, rates)
+            cond_pred = model.predict(env_n[val_idx], codes, rates)
             cond_loss_mask = ds.available[val_idx] & ~val_known & target_mask
             if cond_loss_mask.any():
                 metric_cond = _selection_metric(
@@ -207,22 +207,6 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
         },
     )
     return tm, history
-
-
-def _predict_with_states(model: Model, env: np.ndarray, codes, rates) -> np.ndarray:
-    return model.predict(env, codes, rates, batch_size=predict_batch_rows(model.spec))
-
-
-def select_checkpoint_dual(history_a: list[float], history_b: list[float]) -> int:
-    """Dual-dataset rule: an epoch replaces the incumbent only when both
-    validation metrics strictly improve; epoch 0 is the initial incumbent."""
-    if len(history_a) != len(history_b) or not history_a:
-        raise ValueError("histories must be nonempty and equally long")
-    incumbent = 0
-    for e in range(1, len(history_a)):
-        if history_a[e] > history_a[incumbent] and history_b[e] > history_b[incumbent]:
-            incumbent = e
-    return incumbent
 
 
 @dataclass
@@ -261,7 +245,7 @@ def protocol_predictions(tm: TrainedModel, ds: Dataset, protocol: EvalProtocol) 
     if tm.model.spec.uses_states:
         known = condition[None, :] & ds.available[idx]
         codes, rates = assign_states(ds.targets[idx], ds.available[idx], known, tm.model.spec.n_b)
-    return idx, _predict_with_states(tm.model, env_n, codes, rates)
+    return idx, tm.model.predict(env_n, codes, rates)
 
 
 def evaluate(tm: TrainedModel, ds: Dataset, protocol: EvalProtocol) -> EvalReport:
@@ -293,11 +277,11 @@ def conditioning_delta(
         raise ValueError(f"no {split} locations with a positive state for '{source_species}'")
 
     env_n = apply_norm(ds.env, tm.norm)[qualifying]
-    uncond = _predict_with_states(tm.model, env_n, None, None)
+    uncond = tm.model.predict(env_n)
     known = np.zeros((qualifying.size, ds.n_species), dtype=bool)
     known[:, s] = True
     codes, rates = assign_states(ds.targets[qualifying], ds.available[qualifying], known, tm.model.spec.n_b)
-    cond = _predict_with_states(tm.model, env_n, codes, rates)
+    cond = tm.model.predict(env_n, codes, rates)
     delta = cond - uncond
 
     names = targets if targets is not None else list(ds.species)

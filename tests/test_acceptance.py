@@ -236,10 +236,10 @@ def _benchmark_run(make_spec, seed):
     cells = ds.available[test_idx] & responders[None, :]
     env_n = apply_norm(ds.env, tm.norm)[test_idx]
 
-    uncond = training._predict_with_states(tm.model, env_n, None, None)
+    uncond = tm.model.predict(env_n)
     known = drivers[None, :] & ds.available[test_idx]
     codes, rates = assign_states(ds.targets[test_idx], ds.available[test_idx], known, 1)
-    cond = training._predict_with_states(tm.model, env_n, codes, rates)
+    cond = tm.model.predict(env_n, codes, rates)
 
     mae_uncond = metrics.mae(uncond, ds.targets[test_idx], cells)
     mae_cond = metrics.mae(cond, ds.targets[test_idx], cells)

@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import os
 import platform
@@ -277,27 +278,22 @@ class TestColocateCommand:
 
 class TestAblateCommand:
     def test_all_sweeps_have_reference_shape(self, tmp_path):
+        # Criterion 10 runs every sweep; this checks the depth table's exact rows.
         cfg = write_json(
             tmp_path / "ablate.json",
-            {"n_locations": 160, "hidden_dim": 8, "train": {"epochs": 1, "batch_size": 32, "n_b": 4}},
+            {"n_locations": 160, "hidden_dim": 8, "sweep": "depth", "train": {"epochs": 1, "batch_size": 32, "n_b": 4}},
         )
         out = tmp_path / "ablate"
         assert run_cli(["ablate", "--config", cfg, "--out-dir", str(out), "--seed", "1"]) == 0
-        import csv as csvmod
-
-        with open(out / "ablation_encoding.csv") as fh:
-            rows = list(csvmod.DictReader(fh))
-        assert {(r["encoding"], r["inference"]) for r in rows} == {
-            (e, i) for e in ("4bins", "1bin", "periodic", "linear") for i in ("unconditioned", "conditioned")
-        }
+        assert sorted(os.listdir(out)) == ["ablation_depth.csv", "manifest.json"]
         with open(out / "ablation_depth.csv") as fh:
-            rows = list(csvmod.DictReader(fh))
-        depths = {r["model"] for r in rows if r["model"].startswith("mlp-")}
-        assert depths == {"mlp-3", "mlp-5", "mlp-6", "mlp-7"}
-        with open(out / "ablation_dim.csv") as fh:
-            rows = list(csvmod.DictReader(fh))
-        assert {r["hidden_dim"] for r in rows} == {"64", "128", "256"}
-        assert {r["inference"] for r in rows} == {"unconditioned", "conditioned"}
+            rows = list(csv.DictReader(fh))
+        unconditioned_only = ("mlp-3", "mlp-5", "mlp-6", "mlp-7", "linear", "maxent")
+        assert {(r["model"], r["inference"]) for r in rows} == {(m, "unconditioned") for m in unconditioned_only} | {
+            (m, i) for m in ("mlp++", "ciso") for i in ("unconditioned", "conditioned")
+        }
+        assert len(rows) == 10
+        assert all(int(r["n_params"]) > 0 for r in rows)
 
 
 class TestErrors:
@@ -343,6 +339,9 @@ class TestErrors:
             ("prepare", {"dataset": dataset, "block_deg": -1}, ["block_deg"]),
             ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "radius_km": float("nan")}, ["radius_km"]),
             ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "radius_km": -1.0}, ["radius_km"]),
+            ("ablate", {"sweep": "dims"}, ["sweep", "'dims'", "'all'", "'encoding'", "'depth'", "'dim'"]),
+            ("synth", {"benchmark": "interaction", "rate_mode": "false"}, ["rate_mode", "'false'"]),
+            ("synth", {"benchmark": "interactions"}, ["benchmark", "'interactions'"]),
         ]
         for k, (command, config, fragments) in enumerate(cases):
             cfg = write_json(tmp_path / f"bad{k}.json", config)

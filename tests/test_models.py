@@ -4,6 +4,7 @@ import struct
 import sys
 import tempfile
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -338,6 +339,36 @@ class TestParallelPredict:
         seen.clear()
         m.predict(env[:3], codes[:3], rates[:3])  # one batch keeps BLAS's threads
         assert seen == [(3, before)]
+
+    def test_budget_below_workers_runs_one_batch_at_a_time(self, monkeypatch):
+        # A budget of one row keeps one row in flight, not one per worker.
+        monkeypatch.setattr(models, "PREDICT_BUDGET_BYTES", 1)
+        m = models.build_model(toy_spec("ciso"), seed=39)
+        env, _, _, _, codes, rates = toy_batch(seed=40, n=7)
+        assert models.predict_batch_rows(m.spec) == 1
+        monkeypatch.setenv("CISO_THREADS", "1")
+        expected = m.predict(env, codes, rates)
+        lock = threading.Lock()
+        in_flight, seen = 0, []
+        forward = m.forward
+
+        def counting_forward(*args, **kw):
+            nonlocal in_flight
+            with lock:
+                in_flight += 1
+                seen.append(in_flight)
+            try:
+                time.sleep(0.01)  # time for another worker to start a batch alongside
+                return forward(*args, **kw)
+            finally:
+                with lock:
+                    in_flight -= 1
+
+        monkeypatch.setattr(m, "forward", counting_forward)
+        monkeypatch.setenv("CISO_THREADS", "3")
+        pred = m.predict(env, codes, rates)
+        assert len(seen) == 7 and max(seen) == 1
+        assert pred.tobytes() == expected.tobytes()
 
     def test_predict_records_nothing_on_the_callers_tape(self):
         m = models.build_model(toy_spec("ciso"), seed=34)

@@ -190,28 +190,6 @@ class TestMaskIntegrity:
         assert np.all(pred.grad[mask] != 0.0)
 
 
-class TestCheckpointSelection:
-    def test_single_regression_keeps_incumbent(self):
-        assert training.select_checkpoint_dual([1.0, 2.0], [1.0, 0.5]) == 0
-
-    def test_joint_improvement_replaces(self):
-        assert training.select_checkpoint_dual([1.0, 2.0], [1.0, 1.5]) == 1
-
-    def test_hand_traced_five_epochs(self):
-        a = [0.50, 0.60, 0.55, 0.70, 0.71]
-        b = [0.30, 0.40, 0.45, 0.41, 0.39]
-        # e1 beats e0 on both -> incumbent 1; e2 drops a; e3 beats e1 on both
-        # -> incumbent 3; e4 drops b.
-        assert training.select_checkpoint_dual(a, b) == 3
-
-    def test_ties_do_not_replace(self):
-        assert training.select_checkpoint_dual([1.0, 1.0], [1.0, 2.0]) == 0
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            training.select_checkpoint_dual([], [])
-
-
 @pytest.fixture(scope="module")
 def trained():
     ds = small_dataset(seed=6, n=500)
