@@ -60,15 +60,19 @@ def _load_config(path: str | None) -> dict:
 
 
 def _section(config: dict, name: str, cls, set_elsewhere: tuple[str, ...]) -> dict:
-    """A copy of config section `name`; raise unless it is a JSON object whose
-    every key names a field of the dataclass `cls` not filled in from elsewhere."""
-    given = config.get(name, {})
+    """A copy of config section `name`, checked by :func:`_fields`."""
+    return _fields(config.get(name, {}), f"config '{name}'", cls, set_elsewhere)
+
+
+def _fields(given, where: str, cls, set_elsewhere: tuple[str, ...] = ()) -> dict:
+    """A copy of `given`; raise unless it is a JSON object whose every key
+    names a field of the dataclass `cls` not filled in from elsewhere."""
     if not isinstance(given, dict):
-        raise ValueError(f"config '{name}' must be a JSON object, not a {type(given).__name__}")
+        raise ValueError(f"{where} must be a JSON object, not a {type(given).__name__}")
     allowed = {f.name for f in fields(cls)} - set(set_elsewhere)
     unknown = sorted(set(given) - allowed)
     if unknown:
-        raise ValueError(f"config '{name}' has unknown keys {unknown}; allowed: {sorted(allowed)}")
+        raise ValueError(f"{where} has unknown keys {unknown}; allowed: {sorted(allowed)}")
     return dict(given)
 
 
@@ -157,22 +161,24 @@ def cmd_train(config: dict, out_dir: str, seed: int, preset: str | None) -> list
     ckpt_path = os.path.join(out_dir, "checkpoint.ckpt")
     hist_path = os.path.join(out_dir, "history.csv")
     save_checkpoint(tm, ckpt_path)
-    training.write_history_csv(history, hist_path)
+    _write_rows(hist_path, ["epoch", "train_loss", "val_metric_uncond", "val_metric_cond"], history)
     return [ckpt_path, hist_path]
 
 
-def _protocol(entry: dict, name: str, unconditioned: bool = False) -> EvalProtocol:
-    return EvalProtocol(
-        name=name,
-        condition_group=None if unconditioned else entry.get("condition_group"),
-        target_group=entry.get("target_group"),
-        split=entry.get("split", "test"),
-    )
+def _protocol(entry, where: str, unconditioned: bool = False, **defaults) -> EvalProtocol:
+    given = {**defaults, **_fields(entry, where, EvalProtocol)}
+    if "name" not in given:
+        raise ValueError(f"{where} needs a 'name'")
+    if unconditioned:
+        given["condition_group"] = None
+    return EvalProtocol(**given)
 
 
 def _protocols(config: dict, unconditioned: bool) -> list[EvalProtocol]:
     entries = config.get("protocols") or [{"name": "unconditioned"}]
-    return [_protocol(e, e["name"], unconditioned) for e in entries]
+    if not isinstance(entries, list):
+        raise ValueError(f"config 'protocols' must be a JSON array, not a {type(entries).__name__}")
+    return [_protocol(e, f"config 'protocols'[{i}]", unconditioned) for i, e in enumerate(entries)]
 
 
 def cmd_eval(config: dict, out_dir: str, seed: int, unconditioned: bool = False) -> list[str]:
@@ -201,23 +207,26 @@ def cmd_delta(config: dict, out_dir: str, seed: int) -> list[str]:
         tm, ds, config["source_species"], config.get("targets"), split=config.get("split", "test")
     )
     path = os.path.join(out_dir, "delta.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["source", "target", "mean_delta", "n_locations", "revealed"])
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_rows(path, ["source", "target", "mean_delta", "n_locations", "revealed"], rows)
     return [path]
 
 
 def cmd_map(config: dict, out_dir: str, seed: int) -> list[str]:
+    """Write map.csv: one row per (location, target species), location-major."""
     tm = load_checkpoint(config["checkpoint"])
     ds = _load_dataset(config)
-    p = config.get("protocol", {})
-    rows = training.predict_map(tm, ds, _protocol(p, p.get("name", "map")))
+    protocol = _protocol(config.get("protocol", {}), "config 'protocol'", name="map")
+    _, target = protocol.resolve(ds)
+    idx, pred = training.protocol_predictions(tm, ds, protocol)
+    columns = np.flatnonzero(target)
+    names = [ds.species[c] for c in columns]
     path = os.path.join(out_dir, "map.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["lat", "lon", "species", "prediction"])
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(["lat", "lon", "species", "prediction"])
+        # .tolist(): csv writes a Python float by repr, a numpy float64 as "np.float64(...)".
+        for row, lat, lon in zip(pred, ds.lats[idx].tolist(), ds.lons[idx].tolist()):
+            writer.writerows((lat, lon, name, p) for name, p in zip(names, row[columns].tolist()))
     return [path]
 
 
@@ -228,12 +237,9 @@ def cmd_synth(config: dict, out_dir: str, seed: int) -> list[str]:
     rate_mode = config.get("rate_mode", False)
     if not isinstance(rate_mode, bool):
         raise ValueError(f"config 'rate_mode' must be true or false, got {rate_mode!r}")
-    if benchmark == "interaction":
-        spec = synthmod.interaction_benchmark_spec(
-            n_locations=int(config.get("n_locations", 5000)), seed=seed, rate_mode=rate_mode
-        )
-    elif benchmark == "null":
-        spec = synthmod.null_benchmark_spec(n_locations=int(config.get("n_locations", 5000)), seed=seed)
+    if benchmark is not None:
+        make = synthmod.interaction_benchmark_spec if benchmark == "interaction" else synthmod.null_benchmark_spec
+        spec = make(n_locations=int(config.get("n_locations", 5000)), seed=seed, rate_mode=rate_mode)
     else:
         spec = synthmod.SynthSpec(
             n_species=int(config["n_species"]),
@@ -345,19 +351,16 @@ def cmd_ablate(config: dict, out_dir: str, seed: int) -> list[str]:
     outputs = []
     for name, rows in tables.items():
         path = os.path.join(out_dir, f"ablation_{name}.csv")
-        _write_rows(path, rows)
+        _write_rows(path, list(dict.fromkeys(key for row in rows for key in row)), rows)
         outputs.append(path)
     return outputs
 
 
-def _write_rows(path: str, rows: list[dict]) -> None:
-    fieldnames = []
-    for row in rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
+def _write_rows(path: str, header: list[str], rows: list[dict]) -> None:
+    """Write `rows` as CSV under `header`; the header line is written even
+    when there are no rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         writer.writerows(rows)
 

@@ -10,9 +10,6 @@ species embedding, and a token is their sum.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numerics as nm
@@ -25,35 +22,6 @@ STATE_ABSENT = 1
 MODES = ("discrete", "linear", "periodic")
 
 
-@dataclass(frozen=True)
-class StateAssignment:
-    """Conditioning state for a single species."""
-
-    code: int
-
-    @property
-    def is_absent(self) -> bool:
-        return self.code == STATE_ABSENT
-
-    @property
-    def bin(self) -> int | None:
-        return self.code - 1 if self.code >= 2 else None
-
-
-def bin_rate(r: float, n_b: int) -> StateAssignment:
-    """Discretize an encounter rate: 0 is absent, r > 0 lands in bin ceil(r*n_b).
-
-    Binary presence/absence is the n_b = 1 special case.
-    """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"encounter rate must be in [0, 1], got {r}")
-    if n_b < 1:
-        raise ValueError(f"n_b must be >= 1, got {n_b}")
-    if r == 0.0:
-        return StateAssignment(STATE_ABSENT)
-    return StateAssignment(1 + math.ceil(r * n_b))
-
-
 def assign_states(
     targets: np.ndarray,
     available: np.ndarray,
@@ -63,7 +31,8 @@ def assign_states(
     """Vectorized state assignment for a (B, C) batch.
 
     Known, available species take their true state (absent for 0, otherwise a
-    positive bin); everything else is unknown. Returns (codes, rates) arrays.
+    positive bin); everything else is unknown. `known` may be one (C,) mask
+    for every row. Returns (codes, rates) arrays.
     The positive rate values feed the continuous modes; r = 0 always maps to
     the absent embedding there too.
     """

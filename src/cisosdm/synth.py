@@ -11,7 +11,7 @@ distribution exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -233,14 +233,6 @@ def interaction_benchmark_spec(n_locations: int = 5000, seed: int = 0, rate_mode
     )
 
 
-def null_benchmark_spec(n_locations: int = 5000, seed: int = 0) -> SynthSpec:
+def null_benchmark_spec(n_locations: int = 5000, seed: int = 0, rate_mode: bool = False) -> SynthSpec:
     """Interaction-free twin of the benchmark community (W = 0)."""
-    return SynthSpec(
-        n_species=10,
-        n_env=5,
-        n_locations=n_locations,
-        edges=[],
-        env_scale=1.0,
-        noise=0.5,
-        seed=seed,
-    )
+    return replace(interaction_benchmark_spec(n_locations, seed, rate_mode), edges=[])

@@ -12,7 +12,6 @@ macro AUC for binary data.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import asdict, dataclass, replace
@@ -21,7 +20,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import numerics as nm
-from .dataio import Dataset, apply_norm, fit_norm
+from .dataio import SPLIT_TAGS, Dataset, apply_norm, fit_norm
 from .encoding import assign_states
 from .features import fit_maxent
 from .metrics import EvalReport, evaluate_matrix, macro_auc, topk_adaptive
@@ -219,6 +218,7 @@ class EvalProtocol:
     split: str = "test"
 
     def resolve(self, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        _check_split(self.split)
         condition = (
             ds.group_mask(self.condition_group) if self.condition_group else np.zeros(ds.n_species, bool)
         )
@@ -229,23 +229,33 @@ class EvalProtocol:
         return condition, target
 
 
+def _check_split(split: str) -> None:
+    if split not in SPLIT_TAGS:
+        raise ValueError(f"unknown split {split!r}; allowed: {list(SPLIT_TAGS)}")
+
+
+def _predict(tm: TrainedModel, ds: Dataset, rows: np.ndarray, condition: np.ndarray) -> np.ndarray:
+    """(len(rows), C) predictions at records `rows`, with the species of the
+    boolean `condition` mask revealed at their true states wherever available."""
+    if list(ds.species) != list(tm.roster):
+        raise ValueError("dataset roster does not match the checkpoint roster")
+    spec = tm.model.spec
+    codes = rates = None
+    if condition.any():
+        if not spec.uses_states:
+            raise ValueError(f"family '{spec.family}' cannot condition on species states")
+        codes, rates = assign_states(ds.targets[rows], ds.available[rows], condition, spec.n_b)
+    return tm.model.predict(apply_norm(ds.env[rows], tm.norm), codes, rates)
+
+
 def protocol_predictions(tm: TrainedModel, ds: Dataset, protocol: EvalProtocol) -> tuple[np.ndarray, np.ndarray]:
     """Prediction matrix for one protocol: (split record indices, (N, C) preds).
 
     Condition species are revealed at their true states wherever available.
     """
-    if list(ds.species) != list(tm.roster):
-        raise ValueError("dataset roster does not match the checkpoint roster")
     condition, _ = protocol.resolve(ds)
-    if condition.any() and not tm.model.spec.uses_states:
-        raise ValueError(f"family '{tm.model.spec.family}' cannot condition on species states")
     idx = ds.split_indices(protocol.split) if ds.split is not None else np.arange(ds.n_records)
-    env_n = apply_norm(ds.env, tm.norm)[idx]
-    codes = rates = None
-    if tm.model.spec.uses_states:
-        known = condition[None, :] & ds.available[idx]
-        codes, rates = assign_states(ds.targets[idx], ds.available[idx], known, tm.model.spec.n_b)
-    return idx, tm.model.predict(env_n, codes, rates)
+    return idx, _predict(tm, ds, idx, condition)
 
 
 def evaluate(tm: TrainedModel, ds: Dataset, protocol: EvalProtocol) -> EvalReport:
@@ -268,21 +278,15 @@ def conditioning_delta(
     """
     if source_species not in ds.species:
         raise ValueError(f"unknown source species '{source_species}'")
-    if not tm.model.spec.uses_states:
-        raise ValueError(f"family '{tm.model.spec.family}' cannot condition on species states")
+    _check_split(split)
     s = ds.species.index(source_species)
     idx = ds.split_indices(split)
     qualifying = idx[(ds.available[idx, s]) & (ds.targets[idx, s] > 0)]
     if qualifying.size == 0:
         raise ValueError(f"no {split} locations with a positive state for '{source_species}'")
 
-    env_n = apply_norm(ds.env, tm.norm)[qualifying]
-    uncond = tm.model.predict(env_n)
-    known = np.zeros((qualifying.size, ds.n_species), dtype=bool)
-    known[:, s] = True
-    codes, rates = assign_states(ds.targets[qualifying], ds.available[qualifying], known, tm.model.spec.n_b)
-    cond = tm.model.predict(env_n, codes, rates)
-    delta = cond - uncond
+    source = np.arange(ds.n_species) == s
+    delta = _predict(tm, ds, qualifying, source) - _predict(tm, ds, qualifying, np.zeros_like(source))
 
     names = targets if targets is not None else list(ds.species)
     rows = []
@@ -300,31 +304,3 @@ def conditioning_delta(
             }
         )
     return rows
-
-
-def predict_map(tm: TrainedModel, ds: Dataset, protocol: EvalProtocol) -> list[dict]:
-    """Per-location predictions for the protocol's target species, as rows of
-    (lat, lon, species, prediction) ready for plotting."""
-    _, target = protocol.resolve(ds)
-    idx, pred = protocol_predictions(tm, ds, protocol)
-    rows = []
-    target_idx = np.flatnonzero(target)
-    for row, i in enumerate(idx):
-        for c in target_idx:
-            rows.append(
-                {
-                    "lat": float(ds.lats[i]),
-                    "lon": float(ds.lons[i]),
-                    "species": ds.species[c],
-                    "prediction": float(pred[row, c]),
-                }
-            )
-    return rows
-
-
-def write_history_csv(history: list[dict], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "train_loss", "val_metric_uncond", "val_metric_cond"])
-        writer.writeheader()
-        for row in history:
-            writer.writerow(row)

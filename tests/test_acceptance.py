@@ -16,7 +16,7 @@ import pytest
 from cisosdm import cli, metrics, models, numerics as nm, synth, training
 from cisosdm.colocate import build_index
 from cisosdm.dataio import apply_norm, assign_split
-from cisosdm.encoding import assign_states, bin_rate
+from cisosdm.encoding import STATE_ABSENT, assign_states
 from cisosdm.features import fit_maxent
 from cisosdm.models import ModelSpec, build_model
 from fdcheck import REL_TOL, fd_gradient, max_rel_err
@@ -93,14 +93,15 @@ def test_criterion_02_maxent_feature_count():
 
 def test_criterion_03_binning_law_exhaustive():
     with criterion(3, "bin assignment matches the ceiling oracle on the full rate grid"):
+        grid = np.array([[0.001 * k for k in range(0, 1001)]])
+        everywhere = np.ones(grid.shape, bool)
         for n_b in (1, 2, 4, 8):
-            for k in range(0, 1001):
-                r = 0.001 * k
-                state = bin_rate(r, n_b)
+            codes, _ = assign_states(grid, everywhere, everywhere, n_b)
+            for r, code in zip(grid[0].tolist(), codes[0].tolist()):
                 if r == 0.0:
-                    assert state.is_absent
+                    assert code == STATE_ABSENT
                 else:
-                    assert state.bin == math.ceil(r * n_b)
+                    assert code - 1 == math.ceil(r * n_b)
 
 
 # -- 4 ----------------------------------------------------------------------

@@ -5,13 +5,14 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy
 
 import cisosdm
-from cisosdm import cli, models, numerics as nm
+from cisosdm import cli, dataio, models, numerics as nm
 
 
 def run_cli(args):
@@ -79,13 +80,22 @@ class TestSynthCommand:
         report = json.loads((synth_bundle / "oracle_report.json").read_text())
         assert report["conditional_mae"] <= report["marginal_mae"]
 
+    def test_null_benchmark_honours_rate_mode(self, tmp_path):
+        cfg = write_json(tmp_path / "null.json", {"benchmark": "null", "rate_mode": True, "n_locations": 300})
+        assert run_cli(["synth", "--config", cfg, "--out-dir", str(tmp_path), "--seed", "5"]) == 0
+        assert not (tmp_path / "oracle_report.json").exists()
+        targets = dataio.load_dataset(str(tmp_path / "dataset.csv"), str(tmp_path / "dataset.json")).targets
+        positive = targets[targets > 0]
+        assert positive.size and (positive <= 1).all() and (positive < 1).any()
+
 
 class TestTrainCommand:
     def test_checkpoint_and_history(self, trained_bundle):
         assert (trained_bundle / "checkpoint.ckpt").exists()
         history = (trained_bundle / "history.csv").read_text().splitlines()
-        assert history[0].startswith("epoch,")
-        assert len(history) == 2
+        assert history[0] == "epoch,train_loss,val_metric_uncond,val_metric_cond"
+        assert len(history) == 2  # header + one epoch
+        assert history[1].startswith("0,")
 
     def test_rerun_is_byte_identical(self, trained_bundle, synth_bundle, tmp_path):
         cfg = write_json(
@@ -176,6 +186,10 @@ class TestDeltaAndMap:
         assert lines[0] == "source,target,mean_delta,n_locations,revealed"
         assert len(lines) == 11  # header + 10 species
 
+        cfg = write_json(tmp_path / "none.json", {**json.loads((tmp_path / "delta.json").read_text()), "targets": []})
+        assert run_cli(["delta", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert (out / "delta.csv").read_text().splitlines() == [lines[0]]
+
     def test_map_csv(self, synth_bundle, trained_bundle, tmp_path):
         cfg = write_json(
             tmp_path / "map.json",
@@ -187,9 +201,44 @@ class TestDeltaAndMap:
         )
         out = tmp_path / "map"
         assert run_cli(["map", "--config", cfg, "--out-dir", str(out)]) == 0
-        lines = (out / "map.csv").read_text().splitlines()
-        assert lines[0] == "lat,lon,species,prediction"
-        assert len(lines) > 1
+        with open(out / "map.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["lat", "lon", "species", "prediction"]
+        ds = dataio.load_dataset(str(synth_bundle / "dataset.csv"), str(synth_bundle / "dataset.json"))
+        test = ds.split_indices("test")
+        responders = [name for name, r in zip(ds.species, ds.group_masks["responders"]) if r]
+        assert len(responders) == 5
+        # One row per (test location, responder), location-major.
+        assert len(rows) == test.size * len(responders)
+        assert [r[2] for r in rows] == responders * test.size
+        assert [float(r[0]) for r in rows[:: len(responders)]] == ds.lats[test].tolist()
+        assert [float(r[1]) for r in rows[:: len(responders)]] == ds.lons[test].tolist()
+        assert all(0.0 < float(r[3]) < 1.0 for r in rows)
+
+    def test_map_memory_follows_the_prediction_matrix(self, tmp_path):
+        synth_cfg = write_json(tmp_path / "synth.json", {"n_species": 100, "n_env": 4, "n_locations": 2000})
+        assert run_cli(["synth", "--config", synth_cfg, "--out-dir", str(tmp_path / "s"), "--seed", "1"]) == 0
+        dataset = str(tmp_path / "s" / "dataset.csv")
+        train_cfg = write_json(
+            tmp_path / "train.json",
+            {"dataset": dataset, "family": "mlp", "hyperparams": {"hidden_dim": 8}, "train": {"epochs": 1}},
+        )
+        assert run_cli(["train", "--config", train_cfg, "--out-dir", str(tmp_path / "t")]) == 0
+        map_cfg = write_json(
+            tmp_path / "map.json",
+            {"checkpoint": str(tmp_path / "t" / "checkpoint.ckpt"), "dataset": dataset, "protocol": {"split": "train"}},
+        )
+        tracemalloc.start()
+        try:
+            assert run_cli(["map", "--config", map_cfg, "--out-dir", str(tmp_path / "m")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        with open(tmp_path / "m" / "map.csv", "rb") as fh:
+            cells = sum(1 for _ in fh) - 1
+        assert cells >= 100_000
+        # The peak includes the dataset load.
+        assert peak / cells < 100, peak / cells
 
 
 class TestPrepare:
@@ -306,8 +355,9 @@ class TestErrors:
         assert proc.returncode != 0
         assert "usage" in proc.stderr.lower()
 
-    def test_invalid_config_exits_nonzero_with_message(self, synth_bundle, tmp_path, capsys):
+    def test_invalid_config_exits_nonzero_with_message(self, synth_bundle, trained_bundle, tmp_path, capsys):
         dataset = str(synth_bundle / "dataset.csv")
+        scored = {"checkpoint": str(trained_bundle / "checkpoint.ckpt"), "dataset": dataset}
         bad_lat = tmp_path / "bad_lat.csv"
         set_first_row_cell(synth_bundle / "dataset.csv", bad_lat, lambda name: name == "lat", "abc")
         (tmp_path / "bad_lat.json").write_text((synth_bundle / "dataset.json").read_text())
@@ -342,6 +392,16 @@ class TestErrors:
             ("ablate", {"sweep": "dims"}, ["sweep", "'dims'", "'all'", "'encoding'", "'depth'", "'dim'"]),
             ("synth", {"benchmark": "interaction", "rate_mode": "false"}, ["rate_mode", "'false'"]),
             ("synth", {"benchmark": "interactions"}, ["benchmark", "'interactions'"]),
+            ("eval", {**scored, "protocols": [{"name": "c", "conditon_group": "drivers"}]},
+             ["'protocols'[0]", "conditon_group"]),
+            ("eval", {**scored, "protocols": ["cond"]}, ["'protocols'[0]", "JSON object"]),
+            ("eval", {**scored, "protocols": {"name": "cond"}}, ["'protocols'", "JSON array"]),
+            ("eval", {**scored, "protocols": [{"target_group": "responders"}]}, ["'protocols'[0]", "'name'"]),
+            ("eval", {**scored, "protocols": [{"name": "u", "split": "tset"}]}, ["split", "'tset'"]),
+            ("map", {**scored, "protocol": {"conditon_group": "drivers"}}, ["'protocol'", "conditon_group"]),
+            ("map", {**scored, "protocol": "cond"}, ["'protocol'", "JSON object"]),
+            ("map", {**scored, "protocol": {"split": "tset"}}, ["split", "'tset'"]),
+            ("delta", {**scored, "source_species": "species_00", "split": "tset"}, ["split", "'tset'"]),
         ]
         for k, (command, config, fragments) in enumerate(cases):
             cfg = write_json(tmp_path / f"bad{k}.json", config)

@@ -10,45 +10,43 @@ from cisosdm import numerics as nm
 from fdcheck import check_gradients
 
 
+def revealed_codes(rates, n_b):
+    """assign_states codes for one row whose species are all revealed."""
+    r = np.array([rates], dtype=float)
+    codes, _ = enc.assign_states(r, np.ones(r.shape, bool), np.ones(r.shape, bool), n_b)
+    return codes[0]
+
+
 class TestBinRate:
     def test_zero_is_absent(self):
-        assert enc.bin_rate(0.0, 4).is_absent
+        assert revealed_codes([0.0], 4)[0] == enc.STATE_ABSENT
 
     def test_formula_application(self):
-        s = enc.bin_rate(0.3, 4)
-        assert s.bin == 2  # ceil(1.2)
+        assert revealed_codes([0.3], 4)[0] - 1 == 2  # ceil(1.2)
 
     def test_binary_special_case(self):
-        assert enc.bin_rate(1.0, 1).bin == 1
-        assert enc.bin_rate(0.0001, 1).bin == 1
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            enc.bin_rate(1.5, 4)
-        with pytest.raises(ValueError):
-            enc.bin_rate(-0.1, 4)
+        assert list(revealed_codes([1.0, 0.0001], 1) - 1) == [1, 1]
 
     @pytest.mark.parametrize("n_b", [1, 2, 4, 8])
     def test_exhaustive_grid_matches_ceiling_oracle(self, n_b):
-        for k in range(0, 1001):
-            r = 0.001 * k
-            state = enc.bin_rate(r, n_b)
+        grid = [0.001 * k for k in range(0, 1001)]
+        for r, code in zip(grid, revealed_codes(grid, n_b)):
             if r == 0.0:
-                assert state.is_absent
+                assert code == enc.STATE_ABSENT
             else:
-                assert state.bin == math.ceil(r * n_b)
-                assert 1 <= state.bin <= n_b
+                assert code - 1 == math.ceil(r * n_b)
+                assert 1 <= code - 1 <= n_b
 
     @pytest.mark.parametrize("n_b", [1, 2, 4, 8])
     def test_boundaries_fall_in_their_own_bin(self, n_b):
-        for k in range(1, n_b + 1):
-            assert enc.bin_rate(k / n_b, n_b).bin == k
+        bins = revealed_codes([k / n_b for k in range(1, n_b + 1)], n_b) - 1
+        assert list(bins) == list(range(1, n_b + 1))
 
     @given(st.floats(0.0001, 1.0), st.floats(0.0001, 1.0), st.integers(1, 8))
     @settings(max_examples=80, deadline=None)
     def test_bin_nondecreasing_in_rate(self, r1, r2, n_b):
-        a, b = sorted((r1, r2))
-        assert enc.bin_rate(a, n_b).bin <= enc.bin_rate(b, n_b).bin
+        a, b = revealed_codes(sorted((r1, r2)), n_b)
+        assert a <= b
 
 
 class TestAssignStates:
@@ -62,8 +60,10 @@ class TestAssignStates:
             for c in range(6):
                 if not (known[i, c] and available[i, c]):
                     assert codes[i, c] == enc.STATE_UNKNOWN
+                elif targets[i, c] == 0.0:
+                    assert codes[i, c] == enc.STATE_ABSENT
                 else:
-                    assert codes[i, c] == enc.bin_rate(targets[i, c], 4).code
+                    assert codes[i, c] == 1 + math.ceil(targets[i, c] * 4)
 
     def test_unavailable_never_revealed(self):
         targets = np.array([[1.0]])

@@ -150,6 +150,13 @@ class TestOracleReport:
             assert report["conditional_mae"] <= report["marginal_mae"]
             assert report["headroom"] > 0.02
 
+    def test_null_spec_is_the_benchmark_without_edges(self):
+        assert synth.null_benchmark_spec(n_locations=400, seed=1) == synth.SynthSpec(
+            n_species=10, n_env=5, n_locations=400, edges=[], env_scale=1.0, noise=0.5, seed=1
+        )
+        rates = synth.null_benchmark_spec(n_locations=400, seed=1, rate_mode=True)
+        assert rates.rate_mode and rates.edges == []
+
     def test_null_spec_has_no_headroom(self):
         spec = synth.null_benchmark_spec(n_locations=400, seed=1)
         ds = synth.generate(spec)

@@ -287,28 +287,6 @@ class TestConditioningDelta:
             training.conditioning_delta(tm, ds, "dodo")
 
 
-class TestPredictMap:
-    def test_rows_cover_targets_by_location(self):
-        ds = small_dataset(seed=12)
-        tm, _ = training.train(ds, tiny_spec(), tiny_config(epochs=1))
-        protocol = training.EvalProtocol("m", "drivers", "responders", split="test")
-        rows = training.predict_map(tm, ds, protocol)
-        n_test = ds.split_indices("test").size
-        assert len(rows) == n_test * 3
-        assert {r["species"] for r in rows} == {"species_03", "species_04", "species_05"}
-        assert all(0.0 < r["prediction"] < 1.0 for r in rows)
-
-    def test_history_csv_written(self, tmp_path):
-        history = [
-            {"epoch": 0, "train_loss": 1.0, "val_metric_uncond": 0.5, "val_metric_cond": 0.6}
-        ]
-        path = tmp_path / "history.csv"
-        training.write_history_csv(history, str(path))
-        text = path.read_text().splitlines()
-        assert text[0] == "epoch,train_loss,val_metric_uncond,val_metric_cond"
-        assert text[1].startswith("0,1.0")
-
-
 class TestPresets:
     def test_preset_values(self):
         sp = training.PRESETS["splotopen"]
