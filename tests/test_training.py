@@ -1,12 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from cisosdm import cli, synth, training
 from cisosdm import numerics as nm
-from cisosdm import synth, training
-from cisosdm.dataio import assign_split
+from cisosdm.dataio import assign_split, save_dataset
 from cisosdm.encoding import assign_states
-from cisosdm.models import ModelSpec, build_model
+from cisosdm.models import ModelSpec, build_model, save_checkpoint
 
 
 def small_dataset(seed=0, n=400, rate_mode=False, missing=0.0):
@@ -285,6 +287,36 @@ class TestConditioningDelta:
         tm, ds = trained_for_delta
         with pytest.raises(ValueError, match="unknown source"):
             training.conditioning_delta(tm, ds, "dodo")
+
+
+class TestPredictMap:
+    def test_rows_cover_targets_by_location(self, tmp_path):
+        ds = small_dataset(seed=12)
+        tm, _ = training.train(ds, tiny_spec(), tiny_config(epochs=1))
+        save_dataset(ds, str(tmp_path / "ds.csv"), str(tmp_path / "ds.json"))
+        save_checkpoint(tm, str(tmp_path / "m.ckpt"))
+        config = {
+            "checkpoint": str(tmp_path / "m.ckpt"),
+            "dataset": str(tmp_path / "ds.csv"),
+            "protocol": {"condition_group": "drivers", "target_group": "responders", "split": "test"},
+        }
+        (path,) = cli.cmd_map(config, str(tmp_path), seed=0)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        n_test = ds.split_indices("test").size
+        assert len(rows) == n_test * 3
+        assert {r["species"] for r in rows} == {"species_03", "species_04", "species_05"}
+        assert all(0.0 < float(r["prediction"]) < 1.0 for r in rows)
+
+    def test_history_csv_written(self, tmp_path):
+        history = [
+            {"epoch": 0, "train_loss": 1.0, "val_metric_uncond": 0.5, "val_metric_cond": 0.6}
+        ]
+        path = tmp_path / "history.csv"
+        cli._write_rows(str(path), ["epoch", "train_loss", "val_metric_uncond", "val_metric_cond"], history)
+        text = path.read_text().splitlines()
+        assert text[0] == "epoch,train_loss,val_metric_uncond,val_metric_cond"
+        assert text[1].startswith("0,1.0")
 
 
 class TestPresets:
