@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import os
 import platform
 import sys
@@ -402,6 +403,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler, options = COMMANDS[args.command]
+    # Training's per-epoch lines go to stderr; stdout stays empty.
+    logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     try:
         workers = predict_workers()
         blas = blas_threads()

@@ -71,7 +71,7 @@ class Dataset:
 
     def split_indices(self, tag: str) -> np.ndarray:
         if self.split is None:
-            raise ValueError("dataset has no split tags; run spatial_block_split or load them")
+            raise ValueError("dataset has no split tags; run `cisosdm prepare` to assign them")
         return np.flatnonzero(self.split == tag)
 
     def group_mask(self, name: str) -> np.ndarray:

@@ -19,7 +19,8 @@ operators. Gradient recording happens on an explicitly scoped :class:`Tape`;
 outside a tape every op is a plain numpy computation, which is how inference
 runs. All math is float64 so that finite-difference checks stay tight.
 The module also reads and holds the BLAS thread count (`blas_threads`,
-`one_blas_thread`), which is process-wide.
+`one_blas_thread`), which is process-wide, and returns free C heap pages to
+the OS (`release_free_memory`).
 """
 
 from __future__ import annotations
@@ -115,11 +116,14 @@ _active = _ActiveTape()
 
 class Tape:
     """Records ops in execution order; the reverse of that order is the
-    backward schedule. One tape per training step; a tape records only the
-    ops of the thread that entered it."""
+    backward schedule. One tape per training step or micro-batch; a tape
+    records only the ops of the thread that entered it. `backward` gathers
+    the leaf gradients in the tape's own `grads` map, keyed by leaf tensor,
+    so tapes that share parameters can run backward on different threads."""
 
     def __init__(self):
         self.entries: list[_Entry] = []
+        self.grads: dict[Tensor, np.ndarray] = {}
 
     def __enter__(self) -> "Tape":
         if _active.tape is not None:
@@ -156,31 +160,49 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate chain-rule gradients for every requires_grad tensor reachable
-    from `loss`, then release the graph and clear the tape.
+def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """Chain-rule gradients for every requires_grad leaf reachable from
+    `loss`, gathered in ``tape.grads`` (which is returned); then release the
+    graph and clear the tape's entries.
 
-    Gradients add into any existing ``.grad`` (parameter reuse is additive);
-    call ``AdamW.zero_grad`` between steps.
+    A leaf used more than once gets the sum of its gradients. Nothing outside
+    the tape is written: :func:`accumulate_grads` adds a map into the leaves'
+    ``.grad``.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss.node is None or not any(e is loss.node for e in tape.entries):
         raise ValueError("loss tensor was not produced on this tape")
 
+    grads = tape.grads
     loss.node.grad = np.ones_like(loss.values)
     for entry in reversed(tape.entries):
         g, entry.grad = entry.grad, None
         if g is None:
             continue
         for src, gin in zip(entry.inputs, entry.backward(g)):
-            if gin is not None and src is not None:
+            if gin is None or src is None:
+                continue
+            if isinstance(src, Tensor):
+                held = grads.get(src)
+                grads[src] = gin if held is None else held + gin
+            else:
                 src.grad = gin if src.grad is None else src.grad + gin
     # Outputs the caller still holds would otherwise keep the graph alive
     # through their `node`.
     for entry in tape.entries:
         entry.backward = entry.inputs = entry.grad = None
     tape.entries.clear()
+    return grads
+
+
+def accumulate_grads(grads: dict[Tensor, np.ndarray]) -> None:
+    """Add a gradient map into its leaves' ``.grad`` (None counts as zero).
+    The map is emptied, so that a caller still holding it does not keep the
+    gradients alive after the optimizer has cleared ``.grad``."""
+    while grads:
+        leaf, g = grads.popitem()
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -625,6 +647,26 @@ def blas_threads() -> int | None:
     """The BLAS thread count in effect, or None when no BLAS setter is found."""
     blas = _blas()
     return None if blas is None else blas[1]()
+
+
+@cache
+def _malloc_trim():
+    """glibc's `malloc_trim`, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def release_free_memory() -> None:
+    """Return the free pages of every malloc arena to the OS, where the C
+    library can. An arena outlives the thread that used it, and keeps the
+    pages that thread freed until another thread allocates from it."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 _blas_lock = threading.Lock()

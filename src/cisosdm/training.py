@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from numbers import Integral, Real
 
@@ -24,7 +26,7 @@ from .dataio import SPLIT_TAGS, Dataset, apply_norm, fit_norm
 from .encoding import assign_states
 from .features import fit_maxent
 from .metrics import EvalReport, evaluate_matrix, macro_auc, topk_adaptive
-from .models import ModelSpec, TrainedModel, build_model
+from .models import ModelSpec, TrainedModel, build_model, predict_workers
 
 log = logging.getLogger(__name__)
 
@@ -103,6 +105,71 @@ def _rng(seed: int, stage: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage,)))
 
 
+# Micro-batches per training step, by family; the rest take one. A CISO step
+# at C = 10 is small GEMMs plus single-threaded GELU, softmax and layer norm,
+# so BLAS leaves a second core idle: on 2 vCPUs, two half-batches on two
+# threads with one BLAS thread take 64 ms per B = 64 step against 87 ms
+# serially, and four take 80 ms, because per-op overhead outweighs the
+# smaller arrays. Maxent and mlp++ GEMMs already use both cores through BLAS;
+# split the same way, their epochs got slower (0.61 -> 0.97 s and
+# 2.4 -> 3.0 s at survey-join size). M does not depend on the thread count,
+# so neither do the trained parameters.
+MICRO_BATCHES = {"ciso": 2}
+
+
+def _micro_step(model, env, y, codes, rates, loss_mask, rng, weight: float | None) -> tuple[float, dict]:
+    """Forward and backward of one micro-batch on the calling thread: its
+    loss (times `weight`, if given) and its gradient map, which is empty
+    when the loss is not finite."""
+    with nm.Tape() as tape:
+        pred = model.forward(env, codes, rates, training=True, rng=rng)
+        loss = nm.bce_masked(pred, y, loss_mask)
+        if weight is not None:
+            loss = nm.mul(loss, weight)
+        value = loss.item()
+        return value, (nm.backward(tape, loss) if np.isfinite(value) else {})
+
+
+def _step(model, pool, shares: int, micro: int, env, y, codes, rates, loss_mask, drop_rng) -> list[tuple]:
+    """(loss, gradient map) of each micro-batch of one training step, in
+    micro-batch order.
+
+    A batch of B rows runs as min(micro, B) contiguous micro-batches, spread
+    over `shares` threads: the caller and ``shares - 1`` threads of `pool`.
+    Micro-batch m's loss is weighted by rows_m / B, so the losses sum to the
+    full batch's, and it draws its dropout from a generator seeded by the
+    m-th of the seeds drawn from `drop_rng`. A single micro-batch uses
+    `drop_rng` itself and no weight, which is the unsplit step.
+    """
+    rows = env.shape[0]
+    m = min(micro, rows)
+    if m == 1:
+        return [_micro_step(model, env, y, codes, rates, loss_mask, drop_rng, None)]
+    seeds = drop_rng.integers(2**63, size=m)
+    edges = [rows * i // m for i in range(m + 1)]
+    results: list = [None] * m
+
+    def run(share: int) -> None:
+        for i in range(share, m, shares):
+            sl = slice(edges[i], edges[i + 1])
+            results[i] = _micro_step(
+                model,
+                env[sl],
+                y[sl],
+                None if codes is None else codes[sl],
+                None if rates is None else rates[sl],
+                loss_mask[sl],
+                np.random.default_rng(int(seeds[i])),
+                (edges[i + 1] - edges[i]) / rows,
+            )
+
+    helpers = [pool.submit(run, share) for share in range(1, min(shares, m))]
+    run(0)
+    for helper in helpers:
+        helper.result()
+    return results
+
+
 def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[TrainedModel, list[dict]]:
     """Fit one model and keep the best checkpoint by unconditioned validation.
 
@@ -137,33 +204,49 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
     optimizer = nm.AdamW(model.params, lr=config.lr, weight_decay=config.weight_decay)
     history: list[dict] = []
     best: tuple[float, int, dict[str, np.ndarray]] | None = None
+    micro = MICRO_BATCHES.get(spec.family, 1)
+    shares = min(micro, predict_workers())
 
     for epoch in range(config.epochs):
         order = train_idx.copy()
         shuffle_rng.shuffle(order)
         losses = []
-        for step, start in enumerate(range(0, order.size, config.batch_size)):
-            batch = order[start : start + config.batch_size]
-            env_b = env_n[batch]
-            y = ds.targets[batch]
-            avail = ds.available[batch]
-            codes = rates = None
-            if spec.uses_states:
-                known = _known_matrix(avail, lmt_rng, config.mask_cap_fraction)
-                codes, rates = assign_states(y, avail, known, config.n_b)
-                loss_mask = avail & ~known & target_mask
-            else:
-                loss_mask = avail & target_mask
-            with nm.Tape() as tape:
-                pred = model.forward(env_b, codes, rates, training=True, rng=drop_rng)
-                loss = nm.bce_masked(pred, y, loss_mask)
-                value = loss.item()
+        # The pool lives for one epoch: no thread outlives `train`, also when
+        # it raises, and its thread has exited before `predict` starts
+        # threads, which then reuse its malloc arena instead of adding one
+        # (peak RSS at C = 100 on 2 vCPUs: 389-400 MB with a pool per call,
+        # 381-383 MB with one per epoch). Split steps hold BLAS at one thread
+        # whatever the thread count, so that each micro-batch computes the
+        # same bits on any thread.
+        with ThreadPoolExecutor(max(1, shares - 1)) as pool, nm.one_blas_thread() if micro > 1 else nullcontext():
+            for step, start in enumerate(range(0, order.size, config.batch_size)):
+                batch = order[start : start + config.batch_size]
+                env_b = env_n[batch]
+                y = ds.targets[batch]
+                avail = ds.available[batch]
+                codes = rates = None
+                if spec.uses_states:
+                    known = _known_matrix(avail, lmt_rng, config.mask_cap_fraction)
+                    codes, rates = assign_states(y, avail, known, config.n_b)
+                    loss_mask = avail & ~known & target_mask
+                else:
+                    loss_mask = avail & target_mask
+                results = _step(model, pool, shares, micro, env_b, y, codes, rates, loss_mask, drop_rng)
+                value = sum(v for v, _ in results)
                 if not np.isfinite(value):
                     raise RuntimeError(f"non-finite loss at epoch {epoch} step {step}")
-                nm.backward(tape, loss)
-            optimizer.step()
-            optimizer.zero_grad()
-            losses.append(value)
+                # Summed in micro-batch order, not in the order threads finish.
+                for _, grads in results:
+                    nm.accumulate_grads(grads)
+                optimizer.step()
+                optimizer.zero_grad()
+                losses.append(value)
+        if micro > 1:
+            # The worker's malloc arena still holds the pages its
+            # micro-batches freed; `predict` on this thread cannot use them.
+            # (ciso-pipeline peak RSS on 2 vCPUs: 212.6 MB without this,
+            # 181.1 MB with it, 177.9 MB unsplit.)
+            nm.release_free_memory()
 
         val_pred = model.predict(env_n[val_idx])
         metric_uncond = _selection_metric(val_pred, ds.targets[val_idx], ds.available[val_idx], target_mask, binary)
@@ -252,9 +335,10 @@ def protocol_predictions(tm: TrainedModel, ds: Dataset, protocol: EvalProtocol) 
     """Prediction matrix for one protocol: (split record indices, (N, C) preds).
 
     Condition species are revealed at their true states wherever available.
+    A dataset without split tags raises ValueError.
     """
     condition, _ = protocol.resolve(ds)
-    idx = ds.split_indices(protocol.split) if ds.split is not None else np.arange(ds.n_records)
+    idx = ds.split_indices(protocol.split)
     return idx, _predict(tm, ds, idx, condition)
 
 

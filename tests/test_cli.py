@@ -113,6 +113,43 @@ class TestTrainCommand:
         b = (out2 / "checkpoint.ckpt").read_bytes()
         assert a == b
 
+    def test_checkpoint_bytes_do_not_depend_on_thread_count(self, synth_bundle, tmp_path, monkeypatch):
+        cfg = write_json(
+            tmp_path / "train.json",
+            {
+                "dataset": str(synth_bundle / "dataset.csv"),
+                "family": "ciso",
+                "hyperparams": {"hidden_dim": 8, "heads": 2, "transformer_layers": 2, "dropout": 0.2},
+                "train": {"epochs": 2, "batch_size": 32, "lr": 0.003, "n_b": 1},
+            },
+        )
+        outputs = set()
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("CISO_THREADS", threads)
+            out = tmp_path / f"w{threads}"
+            assert run_cli(["train", "--config", cfg, "--out-dir", str(out), "--seed", "4"]) == 0
+            outputs.add(((out / "checkpoint.ckpt").read_bytes(), (out / "history.csv").read_bytes()))
+        assert len(outputs) == 1
+
+    def test_epoch_lines_go_to_stderr(self, synth_bundle, tmp_path):
+        cfg = write_json(
+            tmp_path / "train.json",
+            {"dataset": str(synth_bundle / "dataset.csv"), "family": "linear", "train": {"epochs": 2}},
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cisosdm.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cisosdm.cli", "train", "--config", cfg, "--out-dir", str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
+        lines = [line for line in proc.stderr.splitlines() if "epoch" in line]
+        assert [line.split(":")[1].strip() for line in lines] == ["epoch 0", "epoch 1"]
+        assert all(line.startswith("cisosdm.training: epoch") and " loss " in line for line in lines)
+
     def test_preset_applies_hyperparameters(self, synth_bundle, tmp_path):
         cfg = write_json(
             tmp_path / "train.json",
@@ -214,6 +251,20 @@ class TestDeltaAndMap:
         assert [float(r[0]) for r in rows[:: len(responders)]] == ds.lats[test].tolist()
         assert [float(r[1]) for r in rows[:: len(responders)]] == ds.lons[test].tolist()
         assert all(0.0 < float(r[3]) < 1.0 for r in rows)
+
+    def test_commands_need_split_tags(self, synth_bundle, trained_bundle, tmp_path, capsys):
+        with open(synth_bundle / "dataset.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        column = rows[0].index("split")
+        with open(tmp_path / "untagged.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(row[:column] + row[column + 1 :] for row in rows)
+        (tmp_path / "untagged.json").write_text((synth_bundle / "dataset.json").read_text())
+        common = {"checkpoint": str(trained_bundle / "checkpoint.ckpt"), "dataset": str(tmp_path / "untagged.csv")}
+        for command, extra in (("eval", {}), ("map", {"protocol": {}}), ("delta", {"source_species": "species_00"})):
+            cfg = write_json(tmp_path / f"{command}.json", {**common, **extra})
+            assert run_cli([command, "--config", cfg, "--out-dir", str(tmp_path / command)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: dataset has no split tags") and "cisosdm prepare" in err, err
 
     def test_map_memory_follows_the_prediction_matrix(self, tmp_path):
         synth_cfg = write_json(tmp_path / "synth.json", {"n_species": 100, "n_env": 4, "n_locations": 2000})

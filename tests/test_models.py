@@ -157,7 +157,7 @@ class TestCISO:
             pred = m.forward(env, codes, rates, training=True, rng=np.random.default_rng(5))
             assert len(scores) == m.spec.transformer_layers
             assert all(ref() is None for ref in scores)
-            nm.backward(tape, nm.bce_masked(pred, targets, available & ~known))
+            nm.accumulate_grads(nm.backward(tape, nm.bce_masked(pred, targets, available & ~known)))
         assert all(p.grad is not None for p in m.params.values())
 
     def test_tape_keeps_two_attention_arrays_per_block(self):
@@ -291,7 +291,7 @@ class TestPredictBudget:
             assert not any(w.is_alive() for w in workers)
             assert len(tape) == entries
             assert errors == []
-            nm.backward(tape, nm.bce_masked(pred, targets, available & ~known))
+            nm.accumulate_grads(nm.backward(tape, nm.bce_masked(pred, targets, available & ~known)))
         assert all(p.grad is not None for p in m.params.values())
 
 

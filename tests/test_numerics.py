@@ -1,12 +1,16 @@
+import sys
+import threading
 import weakref
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cisosdm import numerics as nm
+from cisosdm import models, numerics as nm, training
+from cisosdm.encoding import assign_states
 from fdcheck import check_gradients, fd_gradient, max_rel_err
 
 
@@ -33,7 +37,7 @@ def test_matmul_sum_gradient_is_column_sums():
     b = nm.Tensor(rng.normal(size=(4, 2)))
     with nm.Tape() as tape:
         loss = nm.sum_all(nm.matmul(a, b))
-        nm.backward(tape, loss)
+        nm.accumulate_grads(nm.backward(tape, loss))
     expected = np.broadcast_to(b.values.sum(axis=1), (3, 4))
     assert np.allclose(a.grad, expected)
     fd = fd_gradient(lambda: float((a.values @ b.values).sum()), a)
@@ -68,7 +72,7 @@ class TestBCEMasked:
         pred = nm.Tensor([[0.9]], requires_grad=True)
         with nm.Tape() as tape:
             loss = nm.bce_masked(pred, [[1.0]], [[False]])
-            nm.backward(tape, loss)
+            nm.accumulate_grads(nm.backward(tape, loss))
         assert loss.item() == 0.0
         assert pred.grad[0, 0] == 0.0
 
@@ -96,7 +100,7 @@ class TestBCEMasked:
             pred = nm.Tensor(values, requires_grad=True)
             with nm.Tape() as tape:
                 loss = nm.bce_masked(pred, y, mask)
-                nm.backward(tape, loss)
+                nm.accumulate_grads(nm.backward(tape, loss))
             return loss.item(), pred.grad
 
         loss_a, grad_a = run(base)
@@ -119,13 +123,13 @@ class TestBackward:
     def test_sum_gives_ones(self):
         x = nm.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with nm.Tape() as tape:
-            nm.backward(tape, nm.sum_all(x))
+            nm.accumulate_grads(nm.backward(tape, nm.sum_all(x)))
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_sum_of_squares(self):
         x = nm.Tensor([1.0, 2.0, 3.0], requires_grad=True)
         with nm.Tape() as tape:
-            nm.backward(tape, nm.sum_all(nm.mul(x, x)))
+            nm.accumulate_grads(nm.backward(tape, nm.sum_all(nm.mul(x, x))))
         assert np.allclose(x.grad, [2.0, 4.0, 6.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -144,7 +148,7 @@ class TestBackward:
     def test_reused_parameter_accumulates_additively(self):
         x = nm.Tensor([2.0], requires_grad=True)
         with nm.Tape() as tape:
-            nm.backward(tape, nm.sum_all(nm.add(nm.mul(x, 3.0), nm.mul(x, 5.0))))
+            nm.accumulate_grads(nm.backward(tape, nm.sum_all(nm.add(nm.mul(x, 3.0), nm.mul(x, 5.0)))))
         assert np.allclose(x.grad, [8.0])
 
     def test_parameter_used_twice_gets_both_gradients_and_calls_add(self):
@@ -154,7 +158,7 @@ class TestBackward:
 
         def step():
             with nm.Tape() as tape:
-                nm.backward(tape, nm.sum_all(nm.matmul(nm.matmul(nm.Tensor(x), w), w)))
+                nm.accumulate_grads(nm.backward(tape, nm.sum_all(nm.matmul(nm.matmul(nm.Tensor(x), w), w))))
 
         step()
         ones = np.ones((3, 2))
@@ -180,10 +184,10 @@ class TestBackward:
         x = nm.Tensor([1.0, 2.0], requires_grad=True)
         with nm.Tape() as tape:
             y = nm.mul(x, x)
-            nm.backward(tape, nm.sum_all(y))
+            nm.accumulate_grads(nm.backward(tape, nm.sum_all(y)))
         x.grad = None
         with nm.Tape() as tape:
-            nm.backward(tape, nm.sum_all(nm.mul(y, 3.0)))
+            nm.accumulate_grads(nm.backward(tape, nm.sum_all(nm.mul(y, 3.0))))
         assert np.array_equal(y.grad, [3.0, 3.0])
         assert x.grad is None
 
@@ -197,7 +201,7 @@ class TestBackward:
             del h
             loss = nm.bce_masked(pred, np.ones((5, 4)), np.ones((5, 4), bool))
             assert gelu_input() is not None  # the gelu backward reads it
-            nm.backward(tape, loss)
+            nm.accumulate_grads(nm.backward(tape, loss))
         # `pred` and `loss` are still held, and so are their entries.
         assert gelu_input() is None
         assert tape.entries == []
@@ -377,7 +381,7 @@ def test_gather_rows_scatter_gradient():
     idx = np.array([[0, 0], [3, 1]])
     with nm.Tape() as tape:
         out = nm.gather_rows(table, idx)
-        nm.backward(tape, nm.sum_all(out))
+        nm.accumulate_grads(nm.backward(tape, nm.sum_all(out)))
     expected = np.zeros((4, 2))
     np.add.at(expected, idx, np.ones((2, 2, 2)))
     assert np.array_equal(table.grad, expected)
@@ -431,7 +435,7 @@ def test_seeded_training_is_bit_identical():
         for _ in range(5):
             with nm.Tape() as tape:
                 pred = nm.sigmoid(nm.matmul(nm.Tensor(x), w))
-                nm.backward(tape, nm.bce_masked(pred, y, np.ones_like(y, bool)))
+                nm.accumulate_grads(nm.backward(tape, nm.bce_masked(pred, y, np.ones_like(y, bool))))
             opt.step()
             opt.zero_grad()
         return w.values.tobytes()
@@ -454,3 +458,99 @@ def test_random_graph_gradients(seed):
         return nm.bce_masked(p, y, np.ones_like(y, bool))
 
     check_gradients(loss, {"w": w, "v": v})
+
+
+def _ciso(dropout, seed=0):
+    spec = models.ModelSpec(
+        family="ciso", n_species=5, n_env=4, hidden_dim=8, heads=2, transformer_layers=2, n_b=2, dropout=dropout
+    )
+    return models.build_model(spec, seed=seed)
+
+
+def _ciso_batch(seed, rows):
+    rng = np.random.default_rng(seed)
+    env = rng.normal(size=(rows, 4))
+    y = rng.choice([0.0, 0.3, 1.0], size=(rows, 5))
+    available = rng.random((rows, 5)) < 0.9
+    known = rng.random((rows, 5)) < 0.4
+    codes, rates = assign_states(y, available, known, 2)
+    return env, y, codes, rates, available & ~known
+
+
+def _ciso_loss(model, batch, rng):
+    env, y, codes, rates, mask = batch
+    return nm.bce_masked(model.forward(env, codes, rates, training=True, rng=rng), y, mask)
+
+
+def _same_bytes(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+class TestGradientMaps:
+    def test_concurrent_tapes_sharing_parameters_match_serial(self):
+        model = _ciso(dropout=0.2)
+        batches = [_ciso_batch(seed, rows=16) for seed in range(4)]
+
+        def grads_of(k, barrier=None):
+            with nm.Tape() as tape:
+                loss = _ciso_loss(model, batches[k], np.random.default_rng(10 + k))
+                if barrier is not None:
+                    barrier.wait(timeout=60)
+                return nm.backward(tape, loss)
+
+        serial = [grads_of(k) for k in range(4)]
+        # More threads than this test expects cores, all in backward at once.
+        barrier = threading.Barrier(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(grads_of, k, barrier) for k in range(4)]
+                concurrent = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(serial[0]) == set(model.params.values())
+        assert all(_same_bytes(c, s) for c, s in zip(concurrent, serial))
+        # backward writes nothing outside its tape.
+        assert all(p.grad is None for p in model.params.values())
+
+    def test_one_tape_step_matches_the_shared_grad_formula(self):
+        # The reference accumulates straight into `.grad` during backward,
+        # in the same entry order: `src.grad = gin if src.grad is None else src.grad + gin`.
+        def reference_backward(tape, loss):
+            loss.node.grad = np.ones_like(loss.values)
+            for entry in reversed(tape.entries):
+                g, entry.grad = entry.grad, None
+                if g is None:
+                    continue
+                for src, gin in zip(entry.inputs, entry.backward(g)):
+                    if gin is not None and src is not None:
+                        src.grad = gin if src.grad is None else src.grad + gin
+
+        batch = _ciso_batch(3, rows=9)
+        grads = []
+        for run in (reference_backward, lambda tape, loss: nm.accumulate_grads(nm.backward(tape, loss))):
+            model = _ciso(dropout=0.2, seed=4)
+            with nm.Tape() as tape:
+                run(tape, _ciso_loss(model, batch, np.random.default_rng(5)))
+            grads.append({name: p.grad for name, p in model.params.items()})
+        assert _same_bytes(*grads)
+
+    def test_micro_batch_sum_matches_full_batch(self):
+        model = _ciso(dropout=0.0, seed=6)
+        env, y, codes, rates, mask = _ciso_batch(7, rows=7)
+        sums = []
+        with ThreadPoolExecutor(1) as pool:
+            for micro in (1, 2):
+                results = training._step(model, pool, 2, micro, env, y, codes, rates, mask, np.random.default_rng(0))
+                assert len(results) == micro
+                for _, grads in results:
+                    nm.accumulate_grads(grads)
+                sums.append((sum(v for v, _ in results), {name: p.grad for name, p in model.params.items()}))
+                for p in model.params.values():
+                    p.grad = None
+        (full_loss, full), (split_loss, split) = sums
+        assert split_loss == pytest.approx(full_loss, rel=0, abs=1e-12)
+        assert full.keys() == split.keys()
+        for name in full:
+            assert np.abs(split[name] - full[name]).max() <= 1e-12, name

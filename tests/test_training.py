@@ -1,4 +1,5 @@
 import csv
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from cisosdm import cli, synth, training
 from cisosdm import numerics as nm
 from cisosdm.dataio import assign_split, save_dataset
 from cisosdm.encoding import assign_states
-from cisosdm.models import ModelSpec, build_model, save_checkpoint
+from cisosdm.models import CISOModel, ModelSpec, build_model, save_checkpoint
 
 
 def small_dataset(seed=0, n=400, rate_mode=False, missing=0.0):
@@ -135,6 +136,29 @@ class TestTrainLoop:
         for name, p in tm.model.params.items():
             np.testing.assert_array_equal(p.values, runs[5].model.params[name].values)
 
+    @pytest.mark.skipif(nm.blas_threads() is None, reason="no BLAS thread setter found, so no worker threads")
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_forward_error_on_either_thread_propagates(self, monkeypatch, failing):
+        monkeypatch.setenv("CISO_THREADS", "2")
+        forward = CISOModel.forward
+        threads = set()
+
+        def flaky(self, *args, **kwargs):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if kwargs.get("training"):
+                threads.add(on_caller)
+                if on_caller == (failing == "caller"):
+                    raise RuntimeError(f"forward failed on the {failing}")
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(CISOModel, "forward", flaky)
+        before_blas, before_threads = nm.blas_threads(), threading.active_count()
+        with pytest.raises(RuntimeError, match=f"forward failed on the {failing}"):
+            training.train(small_dataset(n=120), tiny_spec(), tiny_config(epochs=1))
+        assert threads == {True, False}
+        assert nm.blas_threads() == before_blas
+        assert threading.active_count() == before_threads
+
     def test_empty_validation_split_falls_back_to_last_epoch(self):
         from cisosdm.dataio import assign_split
 
@@ -187,7 +211,7 @@ class TestMaskIntegrity:
         available = rng.random((4, 6)) < 0.8
         mask = available & ~known
         with nm.Tape() as tape:
-            nm.backward(tape, nm.bce_masked(pred, y, mask))
+            nm.accumulate_grads(nm.backward(tape, nm.bce_masked(pred, y, mask)))
         assert np.all(pred.grad[known | ~available] == 0.0)
         assert np.all(pred.grad[mask] != 0.0)
 
