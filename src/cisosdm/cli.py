@@ -84,6 +84,21 @@ def _sidecar(path: str, explicit: str | None) -> str | None:
     return guess if os.path.exists(guess) else None
 
 
+def _number(key: str, value, kind=float):
+    """`value` of config key `key` converted by `kind`; a ValueError naming the key when that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config '{key}' must be a number, got {value!r}") from None
+
+
+def _array(key: str, value) -> list:
+    """`value` of config key `key`; a ValueError naming the key unless it is a JSON array."""
+    if not isinstance(value, list):
+        raise ValueError(f"config '{key}' must be a JSON array, not a {type(value).__name__}")
+    return value
+
+
 def _load_dataset(config: dict, key: str = "dataset", config_key: str = "dataset_config") -> dataio.Dataset:
     path = config[key]
     ds = dataio.load_dataset(path, _sidecar(path, config.get(config_key)))
@@ -111,16 +126,19 @@ def _model_spec(config: dict, ds: dataio.Dataset, n_b: int) -> ModelSpec:
 
 def cmd_prepare(config: dict, out_dir: str, seed: int) -> list[str]:
     ds = _load_dataset(config)
-    merges = [tuple(p) for p in config.get("approved_merges", [])]
+    merges = _array("approved_merges", config.get("approved_merges", []))
+    if not all(isinstance(p, list) and len(p) == 2 and all(isinstance(n, str) for n in p) for p in merges):
+        raise ValueError(f"config 'approved_merges' must hold [keep, drop] species name pairs, got {merges!r}")
     if merges:
         ds = dataio.merge_targets(ds, merges)
     min_presences = config.get("min_presences")
     if min_presences:
-        ds = dataio.filter_min_presences(ds, int(min_presences))
+        ds = dataio.filter_min_presences(ds, _number("min_presences", min_presences, int))
+    fractions = _array("fractions", config.get("fractions", [0.70, 0.15, 0.15]))
     ds = dataio.assign_split(
         ds,
-        block_deg=float(config.get("block_deg", 1.0)),
-        fractions=tuple(float(f) for f in config.get("fractions", (0.70, 0.15, 0.15))),
+        block_deg=_number("block_deg", config.get("block_deg", 1.0)),
+        fractions=tuple(_number("fractions", f) for f in fractions),
         seed=seed,
     )
     ds.validate()
@@ -141,7 +159,7 @@ def cmd_prepare(config: dict, out_dir: str, seed: int) -> list[str]:
 def cmd_colocate(config: dict, out_dir: str, seed: int) -> list[str]:
     a = _load_dataset(config, "dataset_a", "config_a")
     b = _load_dataset(config, "dataset_b", "config_b")
-    radius = float(config.get("radius_km", 1.0))
+    radius = _number("radius_km", config.get("radius_km", 1.0))
     pairs = co.colocate(a, b, radius)
     combined = co.attach(a, b, pairs, a_label=config.get("a_label", "a"), b_label=config.get("b_label", "b"))
     pairs_path = os.path.join(out_dir, "pairs.csv")
@@ -204,9 +222,10 @@ def cmd_eval(config: dict, out_dir: str, seed: int, unconditioned: bool = False)
 def cmd_delta(config: dict, out_dir: str, seed: int) -> list[str]:
     tm = load_checkpoint(config["checkpoint"])
     ds = _load_dataset(config)
-    rows = training.conditioning_delta(
-        tm, ds, config["source_species"], config.get("targets"), split=config.get("split", "test")
-    )
+    targets = config.get("targets")  # null: every species
+    if targets is not None:
+        _array("targets", targets)
+    rows = training.conditioning_delta(tm, ds, config["source_species"], targets, split=config.get("split", "test"))
     path = os.path.join(out_dir, "delta.csv")
     _write_rows(path, ["source", "target", "mean_delta", "n_locations", "revealed"], rows)
     return [path]
@@ -240,17 +259,21 @@ def cmd_synth(config: dict, out_dir: str, seed: int) -> list[str]:
         raise ValueError(f"config 'rate_mode' must be true or false, got {rate_mode!r}")
     if benchmark is not None:
         make = synthmod.interaction_benchmark_spec if benchmark == "interaction" else synthmod.null_benchmark_spec
-        spec = make(n_locations=int(config.get("n_locations", 5000)), seed=seed, rate_mode=rate_mode)
+        n_locations = _number("n_locations", config.get("n_locations", 5000), int)
+        spec = make(n_locations=n_locations, seed=seed, rate_mode=rate_mode)
     else:
+        edges = _array("edges", config.get("edges", []))
+        if not all(isinstance(e, list) and len(e) == 3 and all(isinstance(i, int) for i in e[:2]) for e in edges):
+            raise ValueError(f"config 'edges' must hold [parent, child, weight] triples, got {edges!r}")
         spec = synthmod.SynthSpec(
-            n_species=int(config["n_species"]),
-            n_env=int(config["n_env"]),
-            n_locations=int(config["n_locations"]),
-            edges=[tuple(e) for e in config.get("edges", [])],
-            env_scale=float(config.get("env_scale", 1.0)),
-            noise=float(config.get("noise", 0.5)),
+            n_species=_number("n_species", config["n_species"], int),
+            n_env=_number("n_env", config["n_env"], int),
+            n_locations=_number("n_locations", config["n_locations"], int),
+            edges=[(p, c, _number("edges", w)) for p, c, w in edges],
+            env_scale=_number("env_scale", config.get("env_scale", 1.0)),
+            noise=_number("noise", config.get("noise", 0.5)),
             rate_mode=rate_mode,
-            missing_rate=float(config.get("missing_rate", 0.0)),
+            missing_rate=_number("missing_rate", config.get("missing_rate", 0.0)),
             seed=seed,
         )
     ds = synthmod.generate(spec)
@@ -296,7 +319,7 @@ def cmd_ablate(config: dict, out_dir: str, seed: int) -> list[str]:
         ds = _load_dataset(config)
     else:
         spec = synthmod.interaction_benchmark_spec(
-            n_locations=int(config.get("n_locations", 800)), seed=seed, rate_mode=True
+            n_locations=_number("n_locations", config.get("n_locations", 800), int), seed=seed, rate_mode=True
         )
         ds = dataio.assign_split(synthmod.generate(spec), seed=seed)
 
@@ -304,7 +327,7 @@ def cmd_ablate(config: dict, out_dir: str, seed: int) -> list[str]:
     base_train.setdefault("epochs", 2)
     base_train.setdefault("lr", 1e-3)
     base_train.setdefault("n_b", 4)
-    hidden = int(config.get("hidden_dim", 32))
+    hidden = _number("hidden_dim", config.get("hidden_dim", 32), int)
     both = (
         ("unconditioned", EvalProtocol("uncond", None, "responders")),
         ("conditioned", EvalProtocol("cond", "drivers", "responders")),

@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
 
@@ -105,9 +103,9 @@ def predict_batch_rows(spec: ModelSpec) -> int:
 
 
 def predict_workers() -> int:
-    """Threads `Model.predict` runs on: ``CISO_THREADS`` if set, else the CPUs
-    this process may run on; 1 when no BLAS thread setter is found. A bad
-    ``CISO_THREADS`` raises ValueError."""
+    """Threads `Model.predict` and a split training step run on (W):
+    ``CISO_THREADS`` if set, else the CPUs this process may run on; 1 when no
+    BLAS thread setter is found. A bad ``CISO_THREADS`` raises ValueError."""
     setting = ciso_threads()
     if nm.blas_threads() is None:
         return 1
@@ -157,41 +155,27 @@ class Model:
 
     def predict(self, env: np.ndarray, codes=None, rates=None, batch_size: int = MAX_PREDICT_ROWS) -> np.ndarray:
         """Batched inference that records nothing on any tape; returns a (N, C)
-        numpy matrix.
+        numpy matrix, (0, C) for no rows.
 
-        The batches run on :func:`predict_workers` threads, the caller's
-        included; when there is more than one batch, BLAS is held at one
-        thread for the call. A batch holds at most `batch_size` rows and a
-        1/W share of :func:`predict_batch_rows`, and no more batches run at
-        once than that budget has rows, so the batches in flight together
-        stay within it.
-        """
+        A batch holds at most `batch_size` rows and a 1/W share of the
+        :func:`predict_batch_rows` budget (W: :func:`predict_workers`). The
+        batches run through `numerics.run_split` on at most W threads and at
+        most as many as the budget has rows, so the batches in flight stay
+        within it."""
         n = env.shape[0]
         out = np.empty((n, self.spec.n_species))
         workers = predict_workers()
         budget = predict_batch_rows(self.spec)
         rows = min(batch_size, max(1, budget // workers))
-        starts = range(0, n, rows)
-        shares = max(1, min(workers, len(starts), budget))
 
-        def run(share: int) -> None:
-            for start in starts[share::shares]:
-                sl = slice(start, start + rows)
-                c = codes[sl] if codes is not None else None
-                r = rates[sl] if rates is not None else None
-                out[sl] = self.forward(env[sl], c, r).values
+        def run(batch: int) -> None:
+            sl = slice(batch * rows, (batch + 1) * rows)
+            c = codes[sl] if codes is not None else None
+            r = rates[sl] if rates is not None else None
+            out[sl] = self.forward(env[sl], c, r).values
 
-        # One batch runs on the caller alone and keeps BLAS's threads; more
-        # batches give the cores to the workers. Turning on the batch count,
-        # not on W, keeps predictions independent of W whenever `rows` is.
-        blas = nm.one_blas_thread() if len(starts) > 1 else nullcontext()
-        # The caller runs a share too: its malloc arena already holds the
-        # memory a training step freed, which fresh worker arenas do not.
-        with nm.tape_suspended(), blas, ThreadPoolExecutor(max(1, shares - 1)) as pool:
-            helpers = [pool.submit(run, share) for share in range(1, shares)]
-            run(0)
-            for helper in helpers:
-                helper.result()
+        with nm.tape_suspended():
+            nm.run_split(-(-n // rows), min(workers, budget), run)
         return out
 
 

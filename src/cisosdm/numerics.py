@@ -19,8 +19,9 @@ operators. Gradient recording happens on an explicitly scoped :class:`Tape`;
 outside a tape every op is a plain numpy computation, which is how inference
 runs. All math is float64 so that finite-difference checks stay tight.
 The module also reads and holds the BLAS thread count (`blas_threads`,
-`one_blas_thread`), which is process-wide, and returns free C heap pages to
-the OS (`release_free_memory`).
+`one_blas_thread`), which is process-wide, returns free C heap pages to the
+OS (`release_free_memory`), and runs the package's one thread fan-out
+(`run_split`), which `Model.predict` and the training step share.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from __future__ import annotations
 import ctypes
 import threading
 import weakref
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from functools import cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -701,3 +703,26 @@ def one_blas_thread():
             _blas_holds -= 1
             if _blas_holds == 0:
                 setter(_blas_saved)
+
+
+def run_split(pieces: int, workers: int, task: Callable[[int], object]) -> None:
+    """Run ``task(i)`` for each i in ``range(pieces)`` on min(workers, pieces)
+    threads: share s runs pieces s, s + shares, ... in order, and share 0
+    runs on the caller, whose malloc arena already holds what it freed.
+    Each call opens its own pool, so no thread outlives it. More than one
+    piece holds BLAS at one thread, so that a piece computes the same bits on
+    any thread and for any `workers`. An error in any share is raised once
+    every share has ended."""
+    shares = min(workers, pieces)
+    if shares < 1:
+        return
+
+    def run(share: int) -> None:
+        for i in range(share, pieces, shares):
+            task(i)
+
+    with one_blas_thread() if pieces > 1 else nullcontext(), ThreadPoolExecutor(max(1, shares - 1)) as pool:
+        helpers = [pool.submit(run, share) for share in range(1, shares)]
+        run(0)
+        for helper in helpers:
+            helper.result()

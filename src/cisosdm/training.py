@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from numbers import Integral, Real
 
@@ -117,56 +115,32 @@ def _rng(seed: int, stage: int) -> np.random.Generator:
 MICRO_BATCHES = {"ciso": 2}
 
 
-def _micro_step(model, env, y, codes, rates, loss_mask, rng, weight: float | None) -> tuple[float, dict]:
-    """Forward and backward of one micro-batch on the calling thread: its
-    loss (times `weight`, if given) and its gradient map, which is empty
-    when the loss is not finite."""
-    with nm.Tape() as tape:
-        pred = model.forward(env, codes, rates, training=True, rng=rng)
-        loss = nm.bce_masked(pred, y, loss_mask)
-        if weight is not None:
-            loss = nm.mul(loss, weight)
-        value = loss.item()
-        return value, (nm.backward(tape, loss) if np.isfinite(value) else {})
-
-
-def _step(model, pool, shares: int, micro: int, env, y, codes, rates, loss_mask, drop_rng) -> list[tuple]:
+def _step(model, workers: int, micro: int, env, y, codes, rates, loss_mask, drop_rng) -> list[tuple]:
     """(loss, gradient map) of each micro-batch of one training step, in
-    micro-batch order.
+    micro-batch order; a map is empty when its loss is not finite.
 
-    A batch of B rows runs as min(micro, B) contiguous micro-batches, spread
-    over `shares` threads: the caller and ``shares - 1`` threads of `pool`.
-    Micro-batch m's loss is weighted by rows_m / B, so the losses sum to the
-    full batch's, and it draws its dropout from a generator seeded by the
-    m-th of the seeds drawn from `drop_rng`. A single micro-batch uses
-    `drop_rng` itself and no weight, which is the unsplit step.
-    """
+    A batch of B rows runs as min(micro, B) contiguous micro-batches, each on
+    its own tape, through `numerics.run_split` on at most `workers` threads.
+    Micro-batch m's loss is weighted by rows_m / B (a weight of 1 is exact),
+    so the losses sum to the full batch's, and its dropout generator is
+    seeded by the m-th of the seeds drawn from `drop_rng`."""
     rows = env.shape[0]
     m = min(micro, rows)
-    if m == 1:
-        return [_micro_step(model, env, y, codes, rates, loss_mask, drop_rng, None)]
     seeds = drop_rng.integers(2**63, size=m)
     edges = [rows * i // m for i in range(m + 1)]
     results: list = [None] * m
 
-    def run(share: int) -> None:
-        for i in range(share, m, shares):
-            sl = slice(edges[i], edges[i + 1])
-            results[i] = _micro_step(
-                model,
-                env[sl],
-                y[sl],
-                None if codes is None else codes[sl],
-                None if rates is None else rates[sl],
-                loss_mask[sl],
-                np.random.default_rng(int(seeds[i])),
-                (edges[i + 1] - edges[i]) / rows,
-            )
+    def run(i: int) -> None:
+        sl = slice(edges[i], edges[i + 1])
+        c = None if codes is None else codes[sl]
+        r = None if rates is None else rates[sl]
+        with nm.Tape() as tape:
+            pred = model.forward(env[sl], c, r, training=True, rng=np.random.default_rng(int(seeds[i])))
+            loss = nm.mul(nm.bce_masked(pred, y[sl], loss_mask[sl]), (edges[i + 1] - edges[i]) / rows)
+            value = loss.item()
+            results[i] = value, (nm.backward(tape, loss) if np.isfinite(value) else {})
 
-    helpers = [pool.submit(run, share) for share in range(1, min(shares, m))]
-    run(0)
-    for helper in helpers:
-        helper.result()
+    nm.run_split(m, workers, run)
     return results
 
 
@@ -199,48 +173,39 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
     shuffle_rng = _rng(config.seed, 2)
     lmt_rng = _rng(config.seed, 3)
     drop_rng = _rng(config.seed, 4)
-    val_rng_seed = config.seed
 
     optimizer = nm.AdamW(model.params, lr=config.lr, weight_decay=config.weight_decay)
     history: list[dict] = []
     best: tuple[float, int, dict[str, np.ndarray]] | None = None
     micro = MICRO_BATCHES.get(spec.family, 1)
-    shares = min(micro, predict_workers())
+    workers = predict_workers()
 
     for epoch in range(config.epochs):
         order = train_idx.copy()
         shuffle_rng.shuffle(order)
         losses = []
-        # The pool lives for one epoch: no thread outlives `train`, also when
-        # it raises, and its thread has exited before `predict` starts
-        # threads, which then reuse its malloc arena instead of adding one
-        # (peak RSS at C = 100 on 2 vCPUs: 389-400 MB with a pool per call,
-        # 381-383 MB with one per epoch). Split steps hold BLAS at one thread
-        # whatever the thread count, so that each micro-batch computes the
-        # same bits on any thread.
-        with ThreadPoolExecutor(max(1, shares - 1)) as pool, nm.one_blas_thread() if micro > 1 else nullcontext():
-            for step, start in enumerate(range(0, order.size, config.batch_size)):
-                batch = order[start : start + config.batch_size]
-                env_b = env_n[batch]
-                y = ds.targets[batch]
-                avail = ds.available[batch]
-                codes = rates = None
-                if spec.uses_states:
-                    known = _known_matrix(avail, lmt_rng, config.mask_cap_fraction)
-                    codes, rates = assign_states(y, avail, known, config.n_b)
-                    loss_mask = avail & ~known & target_mask
-                else:
-                    loss_mask = avail & target_mask
-                results = _step(model, pool, shares, micro, env_b, y, codes, rates, loss_mask, drop_rng)
-                value = sum(v for v, _ in results)
-                if not np.isfinite(value):
-                    raise RuntimeError(f"non-finite loss at epoch {epoch} step {step}")
-                # Summed in micro-batch order, not in the order threads finish.
-                for _, grads in results:
-                    nm.accumulate_grads(grads)
-                optimizer.step()
-                optimizer.zero_grad()
-                losses.append(value)
+        for step, start in enumerate(range(0, order.size, config.batch_size)):
+            batch = order[start : start + config.batch_size]
+            env_b = env_n[batch]
+            y = ds.targets[batch]
+            avail = ds.available[batch]
+            codes = rates = None
+            if spec.uses_states:
+                known = _known_matrix(avail, lmt_rng, config.mask_cap_fraction)
+                codes, rates = assign_states(y, avail, known, config.n_b)
+                loss_mask = avail & ~known & target_mask
+            else:
+                loss_mask = avail & target_mask
+            results = _step(model, workers, micro, env_b, y, codes, rates, loss_mask, drop_rng)
+            value = sum(v for v, _ in results)
+            if not np.isfinite(value):
+                raise RuntimeError(f"non-finite loss at epoch {epoch} step {step}")
+            # Summed in micro-batch order, not in the order threads finish.
+            for _, grads in results:
+                nm.accumulate_grads(grads)
+            optimizer.step()
+            optimizer.zero_grad()
+            losses.append(value)
         if micro > 1:
             # The worker's malloc arena still holds the pages its
             # micro-batches freed; `predict` on this thread cannot use them.
@@ -252,7 +217,7 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
         metric_uncond = _selection_metric(val_pred, ds.targets[val_idx], ds.available[val_idx], target_mask, binary)
         metric_cond = float("nan")
         if spec.uses_states:
-            val_known = _known_matrix(ds.available[val_idx], _rng(val_rng_seed, 100 + epoch), config.mask_cap_fraction)
+            val_known = _known_matrix(ds.available[val_idx], _rng(config.seed, 100 + epoch), config.mask_cap_fraction)
             codes, rates = assign_states(ds.targets[val_idx], ds.available[val_idx], val_known, config.n_b)
             cond_pred = model.predict(env_n[val_idx], codes, rates)
             cond_loss_mask = ds.available[val_idx] & ~val_known & target_mask
@@ -369,14 +334,15 @@ def conditioning_delta(
     if qualifying.size == 0:
         raise ValueError(f"no {split} locations with a positive state for '{source_species}'")
 
+    names = targets if targets is not None else list(ds.species)
+    unknown = [name for name in names if name not in ds.species]
+    if unknown:
+        raise ValueError(f"unknown target species '{unknown[0]}'")
+
     source = np.arange(ds.n_species) == s
     delta = _predict(tm, ds, qualifying, source) - _predict(tm, ds, qualifying, np.zeros_like(source))
-
-    names = targets if targets is not None else list(ds.species)
     rows = []
     for name in names:
-        if name not in ds.species:
-            raise ValueError(f"unknown target species '{name}'")
         c = ds.species.index(name)
         rows.append(
             {

@@ -438,11 +438,24 @@ class TestErrors:
             ("train", {"dataset": dataset, "target_group": "responders"}, ["train.target_group"]),
             ("prepare", {"dataset": dataset, "fractions": [0.5, 0.5]}, ["fractions"]),
             ("prepare", {"dataset": dataset, "block_deg": -1}, ["block_deg"]),
+            ("prepare", {"dataset": dataset, "block_deg": [1]}, ["config 'block_deg'", "[1]"]),
+            ("prepare", {"dataset": dataset, "fractions": None}, ["config 'fractions'", "JSON array"]),
+            ("prepare", {"dataset": dataset, "fractions": [0.7, None, 0.15]}, ["config 'fractions'", "None"]),
+            ("prepare", {"dataset": dataset, "min_presences": [1]}, ["config 'min_presences'", "[1]"]),
+            ("prepare", {"dataset": dataset, "approved_merges": [5]}, ["config 'approved_merges'", "5"]),
+            ("prepare", {"dataset": dataset, "approved_merges": {}}, ["config 'approved_merges'", "JSON array"]),
+            ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "radius_km": {}},
+             ["config 'radius_km'", "{}"]),
             ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "radius_km": float("nan")}, ["radius_km"]),
             ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "radius_km": -1.0}, ["radius_km"]),
             ("ablate", {"sweep": "dims"}, ["sweep", "'dims'", "'all'", "'encoding'", "'depth'", "'dim'"]),
+            ("ablate", {"hidden_dim": None}, ["config 'hidden_dim'", "None"]),
             ("synth", {"benchmark": "interaction", "rate_mode": "false"}, ["rate_mode", "'false'"]),
             ("synth", {"benchmark": "interactions"}, ["benchmark", "'interactions'"]),
+            ("synth", {"n_species": None, "n_env": 2, "n_locations": 50}, ["config 'n_species'", "None"]),
+            ("synth", {"n_species": 3, "n_env": 2, "n_locations": 50, "noise": [0.5]}, ["config 'noise'", "[0.5]"]),
+            ("synth", {"n_species": 3, "n_env": 2, "n_locations": 50, "edges": [[0, 1]]}, ["config 'edges'", "[0, 1]"]),
+            ("synth", {"benchmark": "null", "n_locations": {}}, ["config 'n_locations'", "{}"]),
             ("eval", {**scored, "protocols": [{"name": "c", "conditon_group": "drivers"}]},
              ["'protocols'[0]", "conditon_group"]),
             ("eval", {**scored, "protocols": ["cond"]}, ["'protocols'[0]", "JSON object"]),
@@ -453,6 +466,8 @@ class TestErrors:
             ("map", {**scored, "protocol": "cond"}, ["'protocol'", "JSON object"]),
             ("map", {**scored, "protocol": {"split": "tset"}}, ["split", "'tset'"]),
             ("delta", {**scored, "source_species": "species_00", "split": "tset"}, ["split", "'tset'"]),
+            ("delta", {**scored, "source_species": "species_00", "targets": "species_01"},
+             ["config 'targets'", "JSON array"]),
         ]
         for k, (command, config, fragments) in enumerate(cases):
             cfg = write_json(tmp_path / f"bad{k}.json", config)
@@ -499,6 +514,21 @@ class TestErrors:
                     tree = ast.parse(fh.read(), name)
                 lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
                 assert not lines, f"{name} has assert statements at lines {lines}"
+
+    def test_src_fans_out_to_threads_only_through_run_split(self):
+        # One fan-out, `numerics.run_split`, opens thread pools and holds BLAS for them.
+        fan_out = {"ThreadPoolExecutor", "one_blas_thread"}
+        package = os.path.dirname(cisosdm.__file__)
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py") and name != "numerics.py":
+                with open(os.path.join(package, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), name)
+                lines = [
+                    node.lineno
+                    for node in ast.walk(tree)
+                    if {getattr(node, key, None) for key in ("id", "attr", "name")} & fan_out
+                ]
+                assert not lines, f"{name} uses {sorted(fan_out)} at lines {lines}; call numerics.run_split"
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads through Linux /proc")
     def test_thread_cap_limits_blas_threads_through_cli_import(self):

@@ -301,20 +301,21 @@ needs_blas = pytest.mark.skipif(nm.blas_threads() is None, reason="no BLAS threa
 class TestParallelPredict:
     @pytest.mark.parametrize("family", ["ciso", "mlp++"])
     @pytest.mark.parametrize("batch_size", [1, 7, 50])
-    @pytest.mark.parametrize("n", [2, 53])
+    @pytest.mark.parametrize("n", [0, 2, 53])
     def test_predictions_do_not_depend_on_workers(self, monkeypatch, family, batch_size, n):
-        # 53 rows leave an uneven last batch and share; 2 rows are fewer than 3 workers.
+        # 53 rows leave an uneven last batch and share; 2 rows are fewer than 3 workers; 0 rows run no batch.
         m = models.build_model(toy_spec(family, dropout=0.1), seed=30)
         env, _, _, _, codes, rates = toy_batch(seed=31, n=n)
         preds = []
         for workers in (1, 2, 3):
             monkeypatch.setenv("CISO_THREADS", str(workers))
             preds.append(m.predict(env, codes, rates, batch_size=batch_size))
+        assert preds[0].shape == (n, m.spec.n_species)
         for pred in preds[1:]:
             assert pred.tobytes() == preds[0].tobytes()
         with nm.one_blas_thread():
             rows = [m.forward(env[i : i + 1], codes[i : i + 1], rates[i : i + 1]).values[0] for i in range(n)]
-        assert np.abs(preds[0] - np.array(rows)).max() <= 1e-12
+        assert np.abs(preds[0] - np.reshape(rows, preds[0].shape)).max(initial=0.0) <= 1e-12
 
     def test_workers_split_the_budget_and_hold_blas_for_several_batches(self, monkeypatch):
         spec = toy_spec("ciso", n_species=40, hidden_dim=64, heads=4, transformer_layers=1)

@@ -486,6 +486,30 @@ def _same_bytes(a: dict, b: dict) -> bool:
     return a.keys() == b.keys() and all(a[k].tobytes() == b[k].tobytes() for k in a)
 
 
+class TestRunSplit:
+    def test_share_s_runs_pieces_s_plus_multiples_of_shares_in_order(self):
+        shares = 3
+        barrier = threading.Barrier(shares)
+        lock = threading.Lock()
+        by_thread: dict[int, list[int]] = {}
+
+        def task(i):
+            if i < shares:  # every share on a thread of its own, all at once
+                barrier.wait(timeout=60)
+            with lock:
+                by_thread.setdefault(threading.get_ident(), []).append(i)
+
+        nm.run_split(8, shares, task)
+        assert by_thread.pop(threading.get_ident()) == [0, 3, 6]
+        assert sorted(by_thread.values()) == [[1, 4, 7], [2, 5]]
+
+    def test_zero_pieces_run_no_task_and_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(nm, "ThreadPoolExecutor", lambda *a, **kw: pytest.fail("opened a pool"))
+        before = threading.active_count()
+        nm.run_split(0, 4, lambda i: pytest.fail(f"ran piece {i}"))
+        assert threading.active_count() == before
+
+
 class TestGradientMaps:
     def test_concurrent_tapes_sharing_parameters_match_serial(self):
         model = _ciso(dropout=0.2)
@@ -540,15 +564,14 @@ class TestGradientMaps:
         model = _ciso(dropout=0.0, seed=6)
         env, y, codes, rates, mask = _ciso_batch(7, rows=7)
         sums = []
-        with ThreadPoolExecutor(1) as pool:
-            for micro in (1, 2):
-                results = training._step(model, pool, 2, micro, env, y, codes, rates, mask, np.random.default_rng(0))
-                assert len(results) == micro
-                for _, grads in results:
-                    nm.accumulate_grads(grads)
-                sums.append((sum(v for v, _ in results), {name: p.grad for name, p in model.params.items()}))
-                for p in model.params.values():
-                    p.grad = None
+        for micro in (1, 2):
+            results = training._step(model, 2, micro, env, y, codes, rates, mask, np.random.default_rng(0))
+            assert len(results) == micro
+            for _, grads in results:
+                nm.accumulate_grads(grads)
+            sums.append((sum(v for v, _ in results), {name: p.grad for name, p in model.params.items()}))
+            for p in model.params.values():
+                p.grad = None
         (full_loss, full), (split_loss, split) = sums
         assert split_loss == pytest.approx(full_loss, rel=0, abs=1e-12)
         assert full.keys() == split.keys()

@@ -307,10 +307,14 @@ class TestConditioningDelta:
         rows = training.conditioning_delta(tm, ds, "species_00", targets=["species_03"])
         assert rows[0]["mean_delta"] > 0.0
 
-    def test_unknown_species_rejected(self, trained_for_delta):
+    def test_unknown_species_rejected(self, trained_for_delta, monkeypatch):
         tm, ds = trained_for_delta
         with pytest.raises(ValueError, match="unknown source"):
             training.conditioning_delta(tm, ds, "dodo")
+        # Target names are checked before either prediction runs.
+        monkeypatch.setattr(tm.model, "predict", lambda *a, **kw: pytest.fail("predicted before checking targets"))
+        with pytest.raises(ValueError, match="unknown target species 'dodo'"):
+            training.conditioning_delta(tm, ds, "species_00", targets=["species_03", "dodo"])
 
 
 class TestPredictMap:
