@@ -194,10 +194,12 @@ def _protocol(entry, where: str, unconditioned: bool = False, **defaults) -> Eva
 
 
 def _protocols(config: dict, unconditioned: bool) -> list[EvalProtocol]:
-    entries = config.get("protocols") or [{"name": "unconditioned"}]
-    if not isinstance(entries, list):
-        raise ValueError(f"config 'protocols' must be a JSON array, not a {type(entries).__name__}")
-    return [_protocol(e, f"config 'protocols'[{i}]", unconditioned) for i, e in enumerate(entries)]
+    entries = _array("protocols", [] if config.get("protocols") is None else config["protocols"])
+    protocols = [_protocol(e, f"config 'protocols'[{i}]", unconditioned) for i, e in enumerate(entries)]
+    names = [str(p.name) for p in protocols]
+    if len(set(names)) < len(names):
+        raise ValueError(f"config 'protocols' repeats names {sorted({n for n in names if names.count(n) > 1})}")
+    return protocols or [EvalProtocol("unconditioned")]
 
 
 def cmd_eval(config: dict, out_dir: str, seed: int, unconditioned: bool = False) -> list[str]:

@@ -63,9 +63,9 @@ class BallTreeIndex:
         """Index and haversine km of the closest point within `radius_km`
         (closed ball). Ties break toward the smaller point index."""
         q = _unit_sphere(np.array([lat]), np.array([lon]))[0]
-        # Tiny inflation so boundary points survive chord/haversine rounding;
-        # the exact haversine check below makes the final call.
-        cand = self.tree.query_ball_point(q, _km_to_chord(radius_km) * (1.0 + 1e-12), return_sorted=True)
+        # Tiny relative and absolute inflation (at metre radii the rounding is absolute) keeps
+        # boundary points; the exact haversine check below makes the final call.
+        cand = self.tree.query_ball_point(q, _km_to_chord(radius_km) * (1.0 + 1e-12) + 1e-12, return_sorted=True)
         if not cand:
             return None
         d = haversine_km((lat, lon), (self.lats[cand], self.lons[cand]))
@@ -107,12 +107,23 @@ def colocate(a: Dataset, b: Dataset, radius_km: float = 1.0) -> list[CoLocation]
     return pairs
 
 
+def _renamed(names: list[str], taken: set[str], label: str, what: str) -> list[str]:
+    """`names`, each one in `taken` renamed `<label>_<name>`; a ValueError if any still clashes."""
+    out = [f"{label}_{n}" if n in taken else n for n in names]
+    if len(set(out) | taken) < len(out) + len(taken):
+        clash = sorted((set(out) & taken) | {n for n in out if out.count(n) > 1})
+        raise ValueError(f"B {what} names {clash} clash with A's even after renaming to '{label}_<name>'")
+    return out
+
+
 def attach(a: Dataset, b: Dataset, pairs: list[CoLocation], a_label: str = "a", b_label: str = "b") -> Dataset:
     """Combine rosters and graft paired B species data onto A's records.
 
     Unpaired A records keep all-false availability on the B side. Validation
     and test tags survive only on paired records; unpaired val/test records
-    are dropped so evaluation sees complete information.
+    are dropped so evaluation sees complete information. A B species or group
+    named like one of A's becomes `<b_label>_<name>`. Groups `a_label` and
+    `b_label` mark each side; each must be a string naming no other group.
     """
     overlap = set(a.ids) & set(b.ids)
     if overlap:
@@ -121,7 +132,7 @@ def attach(a: Dataset, b: Dataset, pairs: list[CoLocation], a_label: str = "a", 
     b_row = {rid: k for k, rid in enumerate(b.ids)}
     pair_for_a = {p.a_id: p for p in pairs}
 
-    species = list(a.species) + list(b.species)
+    species = list(a.species) + _renamed(b.species, set(a.species), b_label, "species")
     n, ca, cb = a.n_records, a.n_species, b.n_species
     targets = np.zeros((n, ca + cb))
     available = np.zeros((n, ca + cb), dtype=bool)
@@ -135,14 +146,13 @@ def attach(a: Dataset, b: Dataset, pairs: list[CoLocation], a_label: str = "a", 
         targets[i, ca:] = b.targets[j]
         available[i, ca:] = b.available[j]
 
-    masks: dict[str, np.ndarray] = {}
-    for name, m in a.group_masks.items():
-        masks[name] = np.concatenate([m, np.zeros(cb, dtype=bool)])
-    for name, m in b.group_masks.items():
-        key = name if name not in masks else f"{b_label}_{name}"
+    masks = {name: np.concatenate([m, np.zeros(cb, dtype=bool)]) for name, m in a.group_masks.items()}
+    for key, m in zip(_renamed(list(b.group_masks), set(masks), b_label, "group"), b.group_masks.values()):
         masks[key] = np.concatenate([np.zeros(ca, dtype=bool), m])
-    masks[a_label] = np.concatenate([np.ones(ca, dtype=bool), np.zeros(cb, dtype=bool)])
-    masks[b_label] = np.concatenate([np.zeros(ca, dtype=bool), np.ones(cb, dtype=bool)])
+    for key, label, a_side in (("a_label", a_label, True), ("b_label", b_label, False)):
+        if not isinstance(label, str) or label in masks:
+            raise ValueError(f"{key} must be a string naming no other group, got {label!r}; groups: {sorted(masks)}")
+        masks[label] = (np.arange(ca + cb) < ca) == a_side
 
     combined = Dataset(
         species=species,
@@ -158,8 +168,7 @@ def attach(a: Dataset, b: Dataset, pairs: list[CoLocation], a_label: str = "a", 
     if combined.split is not None:
         paired = np.array([rid in pair_for_a for rid in combined.ids])
         keep = paired | (combined.split == "train")
-        dropped = int((~keep).sum())
-        if dropped:
+        if not keep.all():
             combined = combined.subset(np.flatnonzero(keep))
     return combined
 

@@ -149,6 +149,8 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
+    if len(set(header)) < len(header):
+        raise SchemaError(f"{path}: repeated columns {sorted({n for n in header if header.count(n) > 1})}")
 
     missing = [c for c in ("id", "lat", "lon") if c not in header]
     if missing:

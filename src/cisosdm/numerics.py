@@ -17,7 +17,8 @@ whole graph when it is done, also for outputs the caller still holds.
 The module-level functions are the surface: `Tensor` defines no arithmetic
 operators. Gradient recording happens on an explicitly scoped :class:`Tape`;
 outside a tape every op is a plain numpy computation, which is how inference
-runs. All math is float64 so that finite-difference checks stay tight.
+runs; gradients live only in the maps `backward` returns and `AdamW.step`
+consumes. All math is float64 so that finite-difference checks stay tight.
 The module also reads and holds the BLAS thread count (`blas_threads`,
 `one_blas_thread`), which is process-wide, returns free C heap pages to the
 OS (`release_free_memory`), and runs the package's one thread fan-out
@@ -31,7 +32,7 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from functools import cache
+from functools import cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,15 +49,14 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient slot; `node` is the tape
-    entry that produced it, or None for a leaf or a constant."""
+    """Dense float64 array; `node` is the tape entry that produced it, or None
+    for a leaf or a constant. Its gradient lives in :func:`backward`'s map."""
 
-    __slots__ = ("values", "requires_grad", "grad", "name", "node", "__weakref__")
+    __slots__ = ("values", "requires_grad", "name", "node", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         self.values = np.asarray(values, dtype=DTYPE)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self.name = name
         self.node: _Entry | None = None
 
@@ -168,8 +168,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     graph and clear the tape's entries.
 
     A leaf used more than once gets the sum of its gradients. Nothing outside
-    the tape is written: :func:`accumulate_grads` adds a map into the leaves'
-    ``.grad``.
+    the tape is written: the map is the only store of these gradients, and
+    :meth:`AdamW.step` reads it.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -196,15 +196,6 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         entry.backward = entry.inputs = entry.grad = None
     tape.entries.clear()
     return grads
-
-
-def accumulate_grads(grads: dict[Tensor, np.ndarray]) -> None:
-    """Add a gradient map into its leaves' ``.grad`` (None counts as zero).
-    The map is emptied, so that a caller still holding it does not keep the
-    gradients alive after the optimizer has cleared ``.grad``."""
-    while grads:
-        leaf, g = grads.popitem()
-        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -577,8 +568,8 @@ def bce_masked(pred: Tensor, target, loss_mask) -> Tensor:
 class AdamW:
     """AdamW with bias correction and decoupled multiplicative weight decay.
 
-    Moment accumulators start at zero and match parameter shapes; the step
-    counter is per-parameter and strictly increasing.
+    Moment accumulators start at zero and match parameter shapes; one step
+    counter `t` serves all, as every parameter gets a gradient every step.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -587,31 +578,29 @@ class AdamW:
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.state = {
-            name: {"m": np.zeros_like(p.values), "v": np.zeros_like(p.values), "t": 0}
-            for name, p in self.params.items()
-        }
+        self.t = 0
+        self.state = {name: {"m": np.zeros_like(p.values), "v": np.zeros_like(p.values)} for name, p in params.items()}
 
-    def step(self) -> None:
+    def step(self, grads: Sequence[dict[Tensor, np.ndarray]]) -> None:
+        """One update from :func:`backward`'s maps. A parameter's gradient is
+        its entries summed in map order (``g0 + g1``), each popped as it is
+        read, so maps the caller still holds keep no gradient alive. A
+        parameter in no map keeps its values and moments."""
+        t = self.t = self.t + 1
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
+            parts = [held.pop(p) for held in grads if p in held]
+            if not parts:
                 continue
+            g = reduce(np.add, parts)
             if np.isnan(g).any():
                 raise ValueError(f"NaN gradient for parameter '{name}'; aborting step")
             st = self.state[name]
-            st["t"] += 1
-            t = st["t"]
             st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * g
             st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * (g * g)
             m_hat = st["m"] / (1.0 - self.beta1**t)
             v_hat = st["v"] / (1.0 - self.beta2**t)
             update = m_hat / (np.sqrt(v_hat) + self.eps)
             p.values = p.values - self.lr * update - self.lr * self.weight_decay * p.values
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
 
 # ---------------------------------------------------------------------------

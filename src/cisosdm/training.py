@@ -201,10 +201,7 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
             if not np.isfinite(value):
                 raise RuntimeError(f"non-finite loss at epoch {epoch} step {step}")
             # Summed in micro-batch order, not in the order threads finish.
-            for _, grads in results:
-                nm.accumulate_grads(grads)
-            optimizer.step()
-            optimizer.zero_grad()
+            optimizer.step([grads for _, grads in results])
             losses.append(value)
         if micro > 1:
             # The worker's malloc arena still holds the pages its

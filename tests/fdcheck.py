@@ -36,16 +36,15 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.where(diff <= ABS_FLOOR, 0.0, diff / scale).max())
 
 
-def check_gradients(loss_fn, params: dict, tol: float = REL_TOL) -> float:
-    """Backprop loss_fn once, compare every parameter grad to the oracle."""
+def check_gradients(loss_fn, params: dict, tol: float = REL_TOL) -> dict:
+    """Backprop loss_fn once, compare every parameter grad to the oracle;
+    return the gradient map."""
     with nm.Tape() as tape:
         loss = loss_fn()
-        nm.accumulate_grads(nm.backward(tape, loss))
-    worst = 0.0
+        grads = nm.backward(tape, loss)
     for name, p in params.items():
-        assert p.grad is not None, f"no gradient for {name}"
+        assert grads.get(p) is not None, f"no gradient for {name}"
         fd = fd_gradient(lambda: loss_fn().item(), p)
-        err = max_rel_err(p.grad, fd)
+        err = max_rel_err(grads[p], fd)
         assert err < tol, f"{name}: rel err {err:.2e} exceeds {tol}"
-        worst = max(worst, err)
-    return worst
+    return grads

@@ -15,6 +15,20 @@ import cisosdm
 from cisosdm import cli, dataio, models, numerics as nm
 
 
+def _src_modules(but: str = ""):
+    """(file name, AST) of each module of the package except `but`."""
+    package = os.path.dirname(cisosdm.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != but:
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
+def _names(node) -> set:
+    """The identifiers an AST node names: a variable, an attribute, a definition or an import."""
+    return {getattr(node, key, None) for key in ("id", "attr", "name")}
+
+
 def run_cli(args):
     return cli.main(args)
 
@@ -448,6 +462,14 @@ class TestErrors:
              ["config 'radius_km'", "{}"]),
             ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "radius_km": float("nan")}, ["radius_km"]),
             ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "radius_km": -1.0}, ["radius_km"]),
+            ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "a_label": {}}, ["a_label", "{}"]),
+            ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "b_label": 3}, ["b_label", "3"]),
+            ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "a_label": "x", "b_label": "x"},
+             ["b_label", "'x'"]),
+            ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "a_label": "drivers"},
+             ["a_label", "'drivers'"]),
+            ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "b_label": "responders"},
+             ["b_label", "'responders'"]),
             ("ablate", {"sweep": "dims"}, ["sweep", "'dims'", "'all'", "'encoding'", "'depth'", "'dim'"]),
             ("ablate", {"hidden_dim": None}, ["config 'hidden_dim'", "None"]),
             ("synth", {"benchmark": "interaction", "rate_mode": "false"}, ["rate_mode", "'false'"]),
@@ -462,6 +484,12 @@ class TestErrors:
             ("eval", {**scored, "protocols": {"name": "cond"}}, ["'protocols'", "JSON array"]),
             ("eval", {**scored, "protocols": [{"target_group": "responders"}]}, ["'protocols'[0]", "'name'"]),
             ("eval", {**scored, "protocols": [{"name": "u", "split": "tset"}]}, ["split", "'tset'"]),
+            ("eval", {**scored, "protocols": {}}, ["config 'protocols'", "JSON array"]),
+            ("eval", {**scored, "protocols": 0}, ["config 'protocols'", "JSON array"]),
+            ("eval", {**scored, "protocols": ""}, ["config 'protocols'", "JSON array"]),
+            ("eval", {**scored, "protocols": False}, ["config 'protocols'", "JSON array"]),
+            ("eval", {**scored, "protocols": [{"name": "u"}, {"name": "c"}, {"name": "u", "split": "val"}]},
+             ["config 'protocols'", "['u']"]),
             ("map", {**scored, "protocol": {"conditon_group": "drivers"}}, ["'protocol'", "conditon_group"]),
             ("map", {**scored, "protocol": "cond"}, ["'protocol'", "JSON object"]),
             ("map", {**scored, "protocol": {"split": "tset"}}, ["split", "'tset'"]),
@@ -507,28 +535,28 @@ class TestErrors:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
         # `python -O` strips assert statements, so checks in the package must raise.
-        package = os.path.dirname(cisosdm.__file__)
-        for name in sorted(os.listdir(package)):
-            if name.endswith(".py"):
-                with open(os.path.join(package, name), encoding="utf-8") as fh:
-                    tree = ast.parse(fh.read(), name)
-                lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-                assert not lines, f"{name} has assert statements at lines {lines}"
+        for name, tree in _src_modules():
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not lines, f"{name} has assert statements at lines {lines}"
 
     def test_src_fans_out_to_threads_only_through_run_split(self):
         # One fan-out, `numerics.run_split`, opens thread pools and holds BLAS for them.
         fan_out = {"ThreadPoolExecutor", "one_blas_thread"}
-        package = os.path.dirname(cisosdm.__file__)
-        for name in sorted(os.listdir(package)):
-            if name.endswith(".py") and name != "numerics.py":
-                with open(os.path.join(package, name), encoding="utf-8") as fh:
-                    tree = ast.parse(fh.read(), name)
-                lines = [
-                    node.lineno
-                    for node in ast.walk(tree)
-                    if {getattr(node, key, None) for key in ("id", "attr", "name")} & fan_out
-                ]
-                assert not lines, f"{name} uses {sorted(fan_out)} at lines {lines}; call numerics.run_split"
+        for name, tree in _src_modules(but="numerics.py"):
+            lines = [node.lineno for node in ast.walk(tree) if _names(node) & fan_out]
+            assert not lines, f"{name} uses {sorted(fan_out)} at lines {lines}; call numerics.run_split"
+
+    def test_src_keeps_gradients_only_in_backward_maps(self):
+        # Gradients live in the maps `numerics.backward` returns, which go to
+        # `AdamW.step`; there is no second store to copy them into or clear.
+        banned = {"accumulate_grads", "zero_grad"}
+        for name, tree in _src_modules(but="numerics.py"):
+            lines = [
+                node.lineno
+                for node in ast.walk(tree)
+                if _names(node) & banned or (isinstance(node, ast.Attribute) and node.attr == "grad")
+            ]
+            assert not lines, f"{name} uses .grad or {sorted(banned)} at lines {lines}; use backward's map"
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads through Linux /proc")
     def test_thread_cap_limits_blas_threads_through_cli_import(self):

@@ -80,6 +80,13 @@ class TestColocate:
         pairs = co.colocate(a, b, 1.0)
         assert pairs[0].b_id == "b1"
 
+    def test_pair_at_exactly_the_radius_at_metre_scale(self):
+        # A property-test find: a ~1 m radius equal to the pair's haversine distance.
+        a = make_dataset([2.0], [0.0], "a")
+        b = make_dataset([2.00001], [0.0], "b")
+        radius = co.haversine_km((2.0, 0.0), (2.00001, 0.0))
+        assert [(p.a_id, p.b_id) for p in co.colocate(a, b, radius)] == [("a0", "b0")]
+
     def test_equal_distances_break_toward_earlier_b(self):
         a = make_dataset([0.0], [0.0], "a")
         b = make_dataset([0.004, 0.004], [0.0, 0.0], "b")  # exact duplicates
@@ -214,6 +221,43 @@ class TestAttach:
         combined = co.attach(a, b, co.colocate(a, b, 1.0), a_label="plants", b_label="birds")
         assert np.array_equal(combined.group_masks["plants"], [True, True, False])
         assert np.array_equal(combined.group_masks["birds"], [False, False, True])
+
+    def test_clashing_species_names_survive_a_save_load_round_trip(self, tmp_path):
+        from cisosdm import dataio
+
+        a, _ = self.make_pair_setup()
+        # B: A's sites under other record ids, with the same species names and flipped targets.
+        b = make_dataset(a.lats, a.lons, "b", species=a.species, targets=1.0 - a.targets)
+        combined = co.attach(a, b, co.colocate(a, b, 1.0))
+        assert combined.species == ["oak", "fern", "b_oak", "b_fern"]
+        dataio.save_dataset(combined, str(tmp_path / "c.csv"), str(tmp_path / "c.json"))
+        reloaded = dataio.load_dataset(str(tmp_path / "c.csv"), str(tmp_path / "c.json"))
+        assert np.array_equal(reloaded.targets[:, :2], a.targets)
+        assert np.array_equal(reloaded.targets[:, 2:], b.targets)
+        assert np.array_equal(reloaded.group_masks["b"], [False, False, True, True])
+
+    def test_species_name_clash_left_after_renaming_rejected(self):
+        a = make_dataset([0.0], [0.0], "a", species=("oak", "b_oak"))
+        b = make_dataset([0.0], [0.0], "b", species=("oak",))
+        with pytest.raises(ValueError, match="b_oak"):
+            co.attach(a, b, [])
+
+    @pytest.mark.parametrize(
+        "labels, match",
+        [
+            ({"a_label": ["a"]}, r"a_label must be a string .*\['a'\]"),
+            ({"b_label": None}, "b_label must be a string .*None"),
+            ({"a_label": "x", "b_label": "x"}, "b_label must be a string naming no other group, got 'x'"),
+            ({"a_label": "drivers"}, "a_label must be a string naming no other group, got 'drivers'"),
+            ({"b_label": "drivers"}, "b_label must be a string naming no other group, got 'drivers'"),
+        ],
+    )
+    def test_bad_labels_rejected(self, labels, match):
+        a = make_dataset([0.0], [0.0], "a", species=("oak",))
+        a.group_masks["drivers"] = np.array([True])
+        b = make_dataset([0.0], [0.0], "b", species=("robin",))
+        with pytest.raises(ValueError, match=match):
+            co.attach(a, b, [], **labels)
 
     def test_id_collision_rejected(self):
         a = make_dataset([0.0], [0.0], "x")

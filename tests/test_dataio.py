@@ -53,6 +53,11 @@ class TestLoadDataset:
         with pytest.raises(dataio.SchemaError, match="lat"):
             dataio.load_dataset(write_csv(tmp_path, "id,lon,env_0,sp_a\nr,0,1,1\n"))
 
+    @pytest.mark.parametrize("column, repeat", [("sp_fern", "sp_oak"), ("env_1", "env_0")])
+    def test_repeated_column_is_schema_error(self, tmp_path, column, repeat):
+        with pytest.raises(dataio.SchemaError, match=f"repeated columns \\['{repeat}'\\]"):
+            dataio.load_dataset(write_csv(tmp_path, BASIC.replace(column, repeat)))
+
     def test_non_numeric_env_names_row(self, tmp_path):
         text = BASIC.replace("r2,11.0,21.0,2.5", "r2,11.0,21.0,oops")
         with pytest.raises(dataio.SchemaError, match="r2"):

@@ -157,8 +157,8 @@ class TestCISO:
             pred = m.forward(env, codes, rates, training=True, rng=np.random.default_rng(5))
             assert len(scores) == m.spec.transformer_layers
             assert all(ref() is None for ref in scores)
-            nm.accumulate_grads(nm.backward(tape, nm.bce_masked(pred, targets, available & ~known)))
-        assert all(p.grad is not None for p in m.params.values())
+            grads = nm.backward(tape, nm.bce_masked(pred, targets, available & ~known))
+        assert all(grads.get(p) is not None for p in m.params.values())
 
     def test_tape_keeps_two_attention_arrays_per_block(self):
         # The softmax output (its backward reads it) and its dropout (the
@@ -291,8 +291,8 @@ class TestPredictBudget:
             assert not any(w.is_alive() for w in workers)
             assert len(tape) == entries
             assert errors == []
-            nm.accumulate_grads(nm.backward(tape, nm.bce_masked(pred, targets, available & ~known)))
-        assert all(p.grad is not None for p in m.params.values())
+            grads = nm.backward(tape, nm.bce_masked(pred, targets, available & ~known))
+        assert all(grads.get(p) is not None for p in m.params.values())
 
 
 needs_blas = pytest.mark.skipif(nm.blas_threads() is None, reason="no BLAS thread setter found")

@@ -37,11 +37,11 @@ def test_matmul_sum_gradient_is_column_sums():
     b = nm.Tensor(rng.normal(size=(4, 2)))
     with nm.Tape() as tape:
         loss = nm.sum_all(nm.matmul(a, b))
-        nm.accumulate_grads(nm.backward(tape, loss))
+        grads = nm.backward(tape, loss)
     expected = np.broadcast_to(b.values.sum(axis=1), (3, 4))
-    assert np.allclose(a.grad, expected)
+    assert np.allclose(grads[a], expected)
     fd = fd_gradient(lambda: float((a.values @ b.values).sum()), a)
-    assert max_rel_err(a.grad, fd) < 1e-4
+    assert max_rel_err(grads[a], fd) < 1e-4
 
 
 def test_sigmoid_relu_softmax_values():
@@ -72,9 +72,9 @@ class TestBCEMasked:
         pred = nm.Tensor([[0.9]], requires_grad=True)
         with nm.Tape() as tape:
             loss = nm.bce_masked(pred, [[1.0]], [[False]])
-            nm.accumulate_grads(nm.backward(tape, loss))
+            grads = nm.backward(tape, loss)
         assert loss.item() == 0.0
-        assert pred.grad[0, 0] == 0.0
+        assert grads[pred][0, 0] == 0.0
 
     def test_two_species_row(self):
         loss = nm.bce_masked(nm.Tensor([[0.8, 0.2]]), [[1.0, 0.0]], [[True, True]])
@@ -100,8 +100,8 @@ class TestBCEMasked:
             pred = nm.Tensor(values, requires_grad=True)
             with nm.Tape() as tape:
                 loss = nm.bce_masked(pred, y, mask)
-                nm.accumulate_grads(nm.backward(tape, loss))
-            return loss.item(), pred.grad
+                grads = nm.backward(tape, loss)
+            return loss.item(), grads[pred]
 
         loss_a, grad_a = run(base)
         perturbed = base.copy()
@@ -123,14 +123,14 @@ class TestBackward:
     def test_sum_gives_ones(self):
         x = nm.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with nm.Tape() as tape:
-            nm.accumulate_grads(nm.backward(tape, nm.sum_all(x)))
-        assert np.array_equal(x.grad, np.ones((2, 3)))
+            grads = nm.backward(tape, nm.sum_all(x))
+        assert np.array_equal(grads[x], np.ones((2, 3)))
 
     def test_sum_of_squares(self):
         x = nm.Tensor([1.0, 2.0, 3.0], requires_grad=True)
         with nm.Tape() as tape:
-            nm.accumulate_grads(nm.backward(tape, nm.sum_all(nm.mul(x, x))))
-        assert np.allclose(x.grad, [2.0, 4.0, 6.0])
+            grads = nm.backward(tape, nm.sum_all(nm.mul(x, x)))
+        assert np.allclose(grads[x], [2.0, 4.0, 6.0])
 
     def test_non_scalar_loss_rejected(self):
         x = nm.Tensor([1.0, 2.0], requires_grad=True)
@@ -148,24 +148,19 @@ class TestBackward:
     def test_reused_parameter_accumulates_additively(self):
         x = nm.Tensor([2.0], requires_grad=True)
         with nm.Tape() as tape:
-            nm.accumulate_grads(nm.backward(tape, nm.sum_all(nm.add(nm.mul(x, 3.0), nm.mul(x, 5.0)))))
-        assert np.allclose(x.grad, [8.0])
+            grads = nm.backward(tape, nm.sum_all(nm.add(nm.mul(x, 3.0), nm.mul(x, 5.0))))
+        assert np.allclose(grads[x], [8.0])
 
     def test_parameter_used_twice_gets_both_gradients_and_calls_add(self):
         # Integer-valued operands keep every sum exact, so equality is exact.
         w = nm.Tensor([[1.0, 2.0], [0.0, -1.0]], requires_grad=True)
         x = np.array([[1.0, 3.0], [2.0, -2.0], [0.0, 1.0]])
 
-        def step():
-            with nm.Tape() as tape:
-                nm.accumulate_grads(nm.backward(tape, nm.sum_all(nm.matmul(nm.matmul(nm.Tensor(x), w), w))))
-
-        step()
+        with nm.Tape() as tape:
+            grads = nm.backward(tape, nm.sum_all(nm.matmul(nm.matmul(nm.Tensor(x), w), w)))
         ones = np.ones((3, 2))
         once = x.T @ ones @ w.values.T + (x @ w.values).T @ ones  # d sum(x w w) / dw
-        assert np.array_equal(w.grad, once)
-        step()
-        assert np.array_equal(w.grad, 2 * once)
+        assert np.array_equal(grads[w], once)
 
     def test_loss_from_an_earlier_tape_rejected(self):
         x = nm.Tensor([1.0, 2.0], requires_grad=True)
@@ -184,12 +179,11 @@ class TestBackward:
         x = nm.Tensor([1.0, 2.0], requires_grad=True)
         with nm.Tape() as tape:
             y = nm.mul(x, x)
-            nm.accumulate_grads(nm.backward(tape, nm.sum_all(y)))
-        x.grad = None
+            nm.backward(tape, nm.sum_all(y))
         with nm.Tape() as tape:
-            nm.accumulate_grads(nm.backward(tape, nm.sum_all(nm.mul(y, 3.0))))
-        assert np.array_equal(y.grad, [3.0, 3.0])
-        assert x.grad is None
+            grads = nm.backward(tape, nm.sum_all(nm.mul(y, 3.0)))
+        assert np.array_equal(grads[y], [3.0, 3.0])
+        assert x not in grads
 
     def test_backward_releases_the_graph_its_outputs_hold(self):
         rng = np.random.default_rng(6)
@@ -201,11 +195,11 @@ class TestBackward:
             del h
             loss = nm.bce_masked(pred, np.ones((5, 4)), np.ones((5, 4), bool))
             assert gelu_input() is not None  # the gelu backward reads it
-            nm.accumulate_grads(nm.backward(tape, loss))
+            grads = nm.backward(tape, loss)
         # `pred` and `loss` are still held, and so are their entries.
         assert gelu_input() is None
         assert tape.entries == []
-        assert pred.node is not None and loss.node is not None and w.grad is not None
+        assert pred.node is not None and loss.node is not None and grads.get(w) is not None
 
     def test_random_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -381,48 +375,68 @@ def test_gather_rows_scatter_gradient():
     idx = np.array([[0, 0], [3, 1]])
     with nm.Tape() as tape:
         out = nm.gather_rows(table, idx)
-        nm.accumulate_grads(nm.backward(tape, nm.sum_all(out)))
+        grads = nm.backward(tape, nm.sum_all(out))
     expected = np.zeros((4, 2))
     np.add.at(expected, idx, np.ones((2, 2, 2)))
-    assert np.array_equal(table.grad, expected)
+    assert np.array_equal(grads[table], expected)
 
 
 class TestAdamW:
     def test_zero_grad_zero_decay_keeps_params(self):
         p = nm.Tensor([1.0, -2.0], requires_grad=True, name="p")
-        p.grad = np.zeros(2)
         opt = nm.AdamW({"p": p}, lr=0.1, weight_decay=0.0)
-        opt.step()
+        opt.step([{p: np.zeros(2)}])
         assert np.array_equal(p.values, [1.0, -2.0])
 
     def test_first_step_moves_by_learning_rate(self):
         p = nm.Tensor([0.0], requires_grad=True, name="p")
-        p.grad = np.array([1.0])
         opt = nm.AdamW({"p": p}, lr=0.1, weight_decay=0.0)
-        opt.step()
+        opt.step([{p: np.array([1.0])}])
         assert p.values[0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_decoupled_decay_scales_parameter(self):
         p = nm.Tensor([4.0], requires_grad=True, name="p")
-        p.grad = np.array([0.0])
         opt = nm.AdamW({"p": p}, lr=0.01, weight_decay=0.1)
-        opt.step()
+        opt.step([{p: np.array([0.0])}])
         assert p.values[0] == pytest.approx(4.0 * (1.0 - 0.001))
 
     def test_nan_gradient_aborts_with_name(self):
         p = nm.Tensor([1.0], requires_grad=True, name="theta")
-        p.grad = np.array([np.nan])
         opt = nm.AdamW({"theta": p})
         with pytest.raises(ValueError, match="theta"):
-            opt.step()
+            opt.step([{p: np.array([np.nan])}])
 
     def test_step_counter_strictly_increases(self):
         p = nm.Tensor([1.0], requires_grad=True, name="p")
         opt = nm.AdamW({"p": p}, lr=0.01)
         for expected in (1, 2, 3):
-            p.grad = np.array([0.5])
-            opt.step()
-            assert opt.state["p"]["t"] == expected
+            opt.step([{p: np.array([0.5])}])
+            assert opt.t == expected
+
+    def test_maps_sum_in_order_and_are_emptied(self):
+        rng = np.random.default_rng(8)
+        start, a, b = rng.normal(size=(3, 4, 3))
+        runs = []
+        for split in (True, False):
+            p = nm.Tensor(start.copy(), requires_grad=True, name="p")
+            opt = nm.AdamW({"p": p}, lr=0.05)
+            for _ in range(3):
+                maps = [{p: a.copy()}, {p: b.copy()}] if split else [{p: a + b}]
+                opt.step(maps)
+                assert maps == [{}] * len(maps)
+            runs.append((p.values.tobytes(), opt.state["p"]["m"].tobytes(), opt.state["p"]["v"].tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_parameter_in_no_map_keeps_values_and_moments(self):
+        p = nm.Tensor([1.0, -2.0], requires_grad=True, name="p")
+        q = nm.Tensor([3.0], requires_grad=True, name="q")
+        opt = nm.AdamW({"p": p, "q": q}, lr=0.1)
+        opt.step([{p: np.array([0.5, 0.5]), q: np.array([1.0])}])
+        kept = (q.values.copy(), opt.state["q"]["m"].copy(), opt.state["q"]["v"].copy())
+        before = p.values.copy()
+        opt.step([{p: np.array([0.5, 0.5])}, {}])
+        assert not np.array_equal(p.values, before)
+        assert all(np.array_equal(x, y) for x, y in zip((q.values, opt.state["q"]["m"], opt.state["q"]["v"]), kept))
 
 
 def test_seeded_training_is_bit_identical():
@@ -435,9 +449,8 @@ def test_seeded_training_is_bit_identical():
         for _ in range(5):
             with nm.Tape() as tape:
                 pred = nm.sigmoid(nm.matmul(nm.Tensor(x), w))
-                nm.accumulate_grads(nm.backward(tape, nm.bce_masked(pred, y, np.ones_like(y, bool))))
-            opt.step()
-            opt.zero_grad()
+                grads = nm.backward(tape, nm.bce_masked(pred, y, np.ones_like(y, bool)))
+            opt.step([grads])
         return w.values.tobytes()
 
     assert run() == run()
@@ -514,6 +527,7 @@ class TestGradientMaps:
     def test_concurrent_tapes_sharing_parameters_match_serial(self):
         model = _ciso(dropout=0.2)
         batches = [_ciso_batch(seed, rows=16) for seed in range(4)]
+        before = {name: p.values.tobytes() for name, p in model.params.items()}
 
         def grads_of(k, barrier=None):
             with nm.Tape() as tape:
@@ -536,28 +550,35 @@ class TestGradientMaps:
         assert set(serial[0]) == set(model.params.values())
         assert all(_same_bytes(c, s) for c, s in zip(concurrent, serial))
         # backward writes nothing outside its tape.
-        assert all(p.grad is None for p in model.params.values())
+        assert all(p.values.tobytes() == before[name] for name, p in model.params.items())
 
     def test_one_tape_step_matches_the_shared_grad_formula(self):
-        # The reference accumulates straight into `.grad` during backward,
-        # in the same entry order: `src.grad = gin if src.grad is None else src.grad + gin`.
+        # The reference sums each gradient as it arrives, in the same entry
+        # order: `held = gin if held is None else held + gin`, into a local
+        # dict for leaves and into the pending `grad` for entries.
         def reference_backward(tape, loss):
+            leaves = {}
             loss.node.grad = np.ones_like(loss.values)
             for entry in reversed(tape.entries):
                 g, entry.grad = entry.grad, None
                 if g is None:
                     continue
                 for src, gin in zip(entry.inputs, entry.backward(g)):
-                    if gin is not None and src is not None:
+                    if gin is None or src is None:
+                        continue
+                    if isinstance(src, nm.Tensor):
+                        leaves[src] = gin if src not in leaves else leaves[src] + gin
+                    else:
                         src.grad = gin if src.grad is None else src.grad + gin
+            return leaves
 
         batch = _ciso_batch(3, rows=9)
         grads = []
-        for run in (reference_backward, lambda tape, loss: nm.accumulate_grads(nm.backward(tape, loss))):
+        for run in (reference_backward, nm.backward):
             model = _ciso(dropout=0.2, seed=4)
             with nm.Tape() as tape:
-                run(tape, _ciso_loss(model, batch, np.random.default_rng(5)))
-            grads.append({name: p.grad for name, p in model.params.items()})
+                leaves = run(tape, _ciso_loss(model, batch, np.random.default_rng(5)))
+            grads.append({name: leaves[p] for name, p in model.params.items()})
         assert _same_bytes(*grads)
 
     def test_micro_batch_sum_matches_full_batch(self):
@@ -567,11 +588,8 @@ class TestGradientMaps:
         for micro in (1, 2):
             results = training._step(model, 2, micro, env, y, codes, rates, mask, np.random.default_rng(0))
             assert len(results) == micro
-            for _, grads in results:
-                nm.accumulate_grads(grads)
-            sums.append((sum(v for v, _ in results), {name: p.grad for name, p in model.params.items()}))
-            for p in model.params.values():
-                p.grad = None
+            summed = {name: sum(grads[p] for _, grads in results) for name, p in model.params.items()}
+            sums.append((sum(v for v, _ in results), summed))
         (full_loss, full), (split_loss, split) = sums
         assert split_loss == pytest.approx(full_loss, rel=0, abs=1e-12)
         assert full.keys() == split.keys()
