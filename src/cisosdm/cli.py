@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import logging
 import os
@@ -16,6 +17,8 @@ import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin
 
 import numpy as np
 import scipy
@@ -50,97 +53,90 @@ class RunManifest:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: config must be a JSON object, not a {type(config).__name__}")
-    return config
+# Config sections that fill in a dataclass, and the keys each may set; the
+# seed, the family, the roster sizes and `n_b` are filled in from elsewhere.
+SECTIONS = {
+    "train": {f.name for f in fields(TrainConfig)} - {"seed"},
+    "hyperparams": {f.name for f in fields(ModelSpec)} - {"family", "n_species", "n_env", "n_b"},
+}
+PROTOCOL_KEYS = inspect.signature(EvalProtocol, eval_str=True).parameters
+
+# Plain kinds of config values: the test a JSON value must pass, and how an error names the kind.
+KINDS = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: type(v) is int or (type(v) is float and v.is_integer()), "an integer"),
+    float: (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, list), "a JSON array"),
+    tuple: (lambda v: isinstance(v, list), "a JSON array"),
+    dict: (lambda v: isinstance(v, dict), "a JSON object"),
+}
 
 
-def _section(config: dict, name: str, cls, set_elsewhere: tuple[str, ...]) -> dict:
-    """A copy of config section `name`, checked by :func:`_fields`."""
-    return _fields(config.get(name, {}), f"config '{name}'", cls, set_elsewhere)
-
-
-def _fields(given, where: str, cls, set_elsewhere: tuple[str, ...] = ()) -> dict:
-    """A copy of `given`; raise unless it is a JSON object whose every key
-    names a field of the dataclass `cls` not filled in from elsewhere."""
+def _fields(given, where: str, allowed) -> dict:
+    """A copy of `given`; raise unless it is a JSON object whose every key is in `allowed`."""
     if not isinstance(given, dict):
         raise ValueError(f"{where} must be a JSON object, not a {type(given).__name__}")
-    allowed = {f.name for f in fields(cls)} - set(set_elsewhere)
-    unknown = sorted(set(given) - allowed)
+    unknown = sorted(set(given) - set(allowed))
     if unknown:
-        raise ValueError(f"{where} has unknown keys {unknown}; allowed: {sorted(allowed)}")
+        moved = "".join(f" (set {s}.{k})" for s in SECTIONS if s in allowed for k in unknown if k in SECTIONS[s])
+        raise ValueError(f"{where} has unknown keys {unknown}{moved}; allowed: {sorted(allowed)}")
     return dict(given)
 
 
-def _sidecar(path: str, explicit: str | None) -> str | None:
-    if explicit is not None:
-        return explicit
+def _check(where: str, value, kind):
+    """`value` of `where` checked against the annotation `kind`; numbers come back as int or float."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (Union, UnionType):  # T | None
+        return None if value is None else _check(where, value, args[0])
+    if origin is Literal:
+        if value not in args:
+            raise ValueError(f"{where} must be one of {list(args)}, got {value!r}")
+        return value
+    accepts, wanted = KINDS[origin or kind]
+    if not accepts(value) or (origin is tuple and len(value) != len(args)):
+        raise ValueError(f"{where} must be {wanted}{f' of {len(args)} items' * (origin is tuple)}, got {value!r}")
+    if origin is list:
+        return [_check(where, v, args[0]) for v in value]
+    if origin is tuple:
+        return tuple(_check(where, v, k) for v, k in zip(value, args))
+    return kind(value) if kind in (int, float) else value
+
+
+def _config_args(params, given, where: str = "config") -> dict:
+    """`given` checked against `params` (name -> inspect.Parameter): no unknown key, no missing
+    required key, every value of its annotated kind. Returns the values with the defaults filled in."""
+    given = _fields(given, where, params)
+    missing = [name for name, p in params.items() if p.default is p.empty and name not in given]
+    if missing:
+        raise ValueError(f"{where} needs '{missing[0]}'")
+    checked = {name: _check(f"{where} '{name}'", value, params[name].annotation) for name, value in given.items()}
+    return {name: checked.get(name, p.default) for name, p in params.items()}
+
+
+def _load_dataset(path: str, sidecar: str | None) -> dataio.Dataset:
+    """The validated dataset at `path`, read with `sidecar` or else with the `.json` file next to it."""
     guess = os.path.splitext(path)[0] + ".json"
-    return guess if os.path.exists(guess) else None
-
-
-def _number(key: str, value, kind=float):
-    """`value` of config key `key` converted by `kind`; a ValueError naming the key when that fails."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"config '{key}' must be a number, got {value!r}") from None
-
-
-def _array(key: str, value) -> list:
-    """`value` of config key `key`; a ValueError naming the key unless it is a JSON array."""
-    if not isinstance(value, list):
-        raise ValueError(f"config '{key}' must be a JSON array, not a {type(value).__name__}")
-    return value
-
-
-def _load_dataset(config: dict, key: str = "dataset", config_key: str = "dataset_config") -> dataio.Dataset:
-    path = config[key]
-    ds = dataio.load_dataset(path, _sidecar(path, config.get(config_key)))
+    ds = dataio.load_dataset(path, guess if sidecar is None and os.path.exists(guess) else sidecar)
     ds.validate()
     return ds
 
 
-def _train_config(config: dict, preset: str | None, seed: int) -> TrainConfig:
-    base = PRESETS[preset] if preset else TrainConfig()
-    cfg = replace(base, seed=seed, **_section(config, "train", TrainConfig, ("seed",)))
-    cfg.validate()
-    return cfg
-
-
-def _model_spec(config: dict, ds: dataio.Dataset, n_b: int) -> ModelSpec:
-    hyper = _section(config, "hyperparams", ModelSpec, ("n_species", "n_env", "n_b"))
-    family = config.get("family", hyper.pop("family", "ciso"))
-    return ModelSpec(family=family, n_species=ds.n_species, n_env=ds.n_env, n_b=n_b, **hyper)
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: (out_dir, seed, the command's --flags, *, its config keys)
 # ---------------------------------------------------------------------------
 
 
-def cmd_prepare(config: dict, out_dir: str, seed: int) -> list[str]:
-    ds = _load_dataset(config)
-    merges = _array("approved_merges", config.get("approved_merges", []))
-    if not all(isinstance(p, list) and len(p) == 2 and all(isinstance(n, str) for n in p) for p in merges):
-        raise ValueError(f"config 'approved_merges' must hold [keep, drop] species name pairs, got {merges!r}")
-    if merges:
-        ds = dataio.merge_targets(ds, merges)
-    min_presences = config.get("min_presences")
+def cmd_prepare(
+    out_dir: str, seed: int, *, dataset: str, dataset_config: str | None = None, min_presences: int = 0,
+    approved_merges: list[tuple[str, str]] = [], block_deg: float = 1.0, fractions: list[float] = [0.70, 0.15, 0.15],
+) -> list[str]:
+    ds = _load_dataset(dataset, dataset_config)
+    if approved_merges:
+        ds = dataio.merge_targets(ds, approved_merges)
     if min_presences:
-        ds = dataio.filter_min_presences(ds, _number("min_presences", min_presences, int))
-    fractions = _array("fractions", config.get("fractions", [0.70, 0.15, 0.15]))
-    ds = dataio.assign_split(
-        ds,
-        block_deg=_number("block_deg", config.get("block_deg", 1.0)),
-        fractions=tuple(_number("fractions", f) for f in fractions),
-        seed=seed,
-    )
+        ds = dataio.filter_min_presences(ds, min_presences)
+    ds = dataio.assign_split(ds, block_deg=block_deg, fractions=tuple(fractions), seed=seed)
     ds.validate()
     stats = dataio.fit_norm(ds.env[ds.split_indices("train")])
 
@@ -156,12 +152,14 @@ def cmd_prepare(config: dict, out_dir: str, seed: int) -> list[str]:
     return [csv_path, cfg_path, stats_path, splits_path]
 
 
-def cmd_colocate(config: dict, out_dir: str, seed: int) -> list[str]:
-    a = _load_dataset(config, "dataset_a", "config_a")
-    b = _load_dataset(config, "dataset_b", "config_b")
-    radius = _number("radius_km", config.get("radius_km", 1.0))
-    pairs = co.colocate(a, b, radius)
-    combined = co.attach(a, b, pairs, a_label=config.get("a_label", "a"), b_label=config.get("b_label", "b"))
+def cmd_colocate(
+    out_dir: str, seed: int, *, dataset_a: str, dataset_b: str, config_a: str | None = None,
+    config_b: str | None = None, radius_km: float = 1.0, a_label: str = "a", b_label: str = "b",
+) -> list[str]:
+    a = _load_dataset(dataset_a, config_a)
+    b = _load_dataset(dataset_b, config_b)
+    pairs = co.colocate(a, b, radius_km)
+    combined = co.attach(a, b, pairs, a_label=a_label, b_label=b_label)
     pairs_path = os.path.join(out_dir, "pairs.csv")
     csv_path = os.path.join(out_dir, "combined.csv")
     cfg_path = os.path.join(out_dir, "combined.json")
@@ -170,12 +168,16 @@ def cmd_colocate(config: dict, out_dir: str, seed: int) -> list[str]:
     return [pairs_path, csv_path, cfg_path]
 
 
-def cmd_train(config: dict, out_dir: str, seed: int, preset: str | None) -> list[str]:
-    if "target_group" in config:
-        raise ValueError("config key 'target_group' belongs in the train section: set train.target_group")
-    ds = _load_dataset(config)
-    cfg = _train_config(config, preset, seed)
-    spec = _model_spec(config, ds, cfg.n_b)
+def cmd_train(
+    out_dir: str, seed: int, preset: str | None = None, *, dataset: str, dataset_config: str | None = None,
+    family: str = "ciso", hyperparams: dict = {}, train: dict = {},
+) -> list[str]:
+    ds = _load_dataset(dataset, dataset_config)
+    train = _fields(train, "config 'train'", SECTIONS["train"])
+    cfg = replace(PRESETS[preset] if preset else TrainConfig(), seed=seed, **train)
+    cfg.validate()
+    hyper = _fields(hyperparams, "config 'hyperparams'", SECTIONS["hyperparams"])
+    spec = ModelSpec(family=family, n_species=ds.n_species, n_env=ds.n_env, n_b=cfg.n_b, **hyper)
     tm, history = training.train(ds, spec, cfg)
     ckpt_path = os.path.join(out_dir, "checkpoint.ckpt")
     hist_path = os.path.join(out_dir, "history.csv")
@@ -184,30 +186,27 @@ def cmd_train(config: dict, out_dir: str, seed: int, preset: str | None) -> list
     return [ckpt_path, hist_path]
 
 
-def _protocol(entry, where: str, unconditioned: bool = False, **defaults) -> EvalProtocol:
-    given = {**defaults, **_fields(entry, where, EvalProtocol)}
-    if "name" not in given:
-        raise ValueError(f"{where} needs a 'name'")
+def _protocol(entry, where: str, unconditioned: bool = False) -> EvalProtocol:
+    given = _config_args(PROTOCOL_KEYS, entry, where)
+    if not given["name"] or {"/", os.sep} & set(given["name"]):
+        raise ValueError(f"{where} 'name' must be a non-empty string with no path separator, got {given['name']!r}")
     if unconditioned:
         given["condition_group"] = None
     return EvalProtocol(**given)
 
 
-def _protocols(config: dict, unconditioned: bool) -> list[EvalProtocol]:
-    entries = _array("protocols", [] if config.get("protocols") is None else config["protocols"])
-    protocols = [_protocol(e, f"config 'protocols'[{i}]", unconditioned) for i, e in enumerate(entries)]
-    names = [str(p.name) for p in protocols]
+def cmd_eval(
+    out_dir: str, seed: int, unconditioned: bool = False, *, checkpoint: str, dataset: str,
+    dataset_config: str | None = None, protocols: list | None = None,
+) -> list[str]:
+    chosen = [_protocol(e, f"config 'protocols'[{i}]", unconditioned) for i, e in enumerate(protocols or [])]
+    names = [p.name for p in chosen]
     if len(set(names)) < len(names):
         raise ValueError(f"config 'protocols' repeats names {sorted({n for n in names if names.count(n) > 1})}")
-    return protocols or [EvalProtocol("unconditioned")]
-
-
-def cmd_eval(config: dict, out_dir: str, seed: int, unconditioned: bool = False) -> list[str]:
-    tm = load_checkpoint(config["checkpoint"])
-    ds = _load_dataset(config)
-    outputs = []
-    reports = []
-    for protocol in _protocols(config, unconditioned):
+    tm = load_checkpoint(checkpoint)
+    ds = _load_dataset(dataset, dataset_config)
+    outputs, reports = [], []
+    for protocol in chosen or [EvalProtocol("unconditioned")]:
         report = training.evaluate(tm, ds, protocol)
         path = os.path.join(out_dir, f"report_{protocol.name}.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -221,25 +220,28 @@ def cmd_eval(config: dict, out_dir: str, seed: int, unconditioned: bool = False)
     return outputs
 
 
-def cmd_delta(config: dict, out_dir: str, seed: int) -> list[str]:
-    tm = load_checkpoint(config["checkpoint"])
-    ds = _load_dataset(config)
-    targets = config.get("targets")  # null: every species
-    if targets is not None:
-        _array("targets", targets)
-    rows = training.conditioning_delta(tm, ds, config["source_species"], targets, split=config.get("split", "test"))
+def cmd_delta(
+    out_dir: str, seed: int, *, checkpoint: str, dataset: str, source_species: str,
+    dataset_config: str | None = None, targets: list[str] | None = None, split: str = "test",
+) -> list[str]:
+    """Write delta.csv; `targets` null means every species."""
+    tm = load_checkpoint(checkpoint)
+    ds = _load_dataset(dataset, dataset_config)
+    rows = training.conditioning_delta(tm, ds, source_species, targets, split=split)
     path = os.path.join(out_dir, "delta.csv")
     _write_rows(path, ["source", "target", "mean_delta", "n_locations", "revealed"], rows)
     return [path]
 
 
-def cmd_map(config: dict, out_dir: str, seed: int) -> list[str]:
+def cmd_map(
+    out_dir: str, seed: int, *, checkpoint: str, dataset: str, dataset_config: str | None = None, protocol: dict = {}
+) -> list[str]:
     """Write map.csv: one row per (location, target species), location-major."""
-    tm = load_checkpoint(config["checkpoint"])
-    ds = _load_dataset(config)
-    protocol = _protocol(config.get("protocol", {}), "config 'protocol'", name="map")
-    _, target = protocol.resolve(ds)
-    idx, pred = training.protocol_predictions(tm, ds, protocol)
+    chosen = _protocol({"name": "map", **protocol}, "config 'protocol'")
+    tm = load_checkpoint(checkpoint)
+    ds = _load_dataset(dataset, dataset_config)
+    _, target = chosen.resolve(ds)
+    idx, pred = training.protocol_predictions(tm, ds, chosen)
     columns = np.flatnonzero(target)
     names = [ds.species[c] for c in columns]
     path = os.path.join(out_dir, "map.csv")
@@ -252,32 +254,28 @@ def cmd_map(config: dict, out_dir: str, seed: int) -> list[str]:
     return [path]
 
 
-def cmd_synth(config: dict, out_dir: str, seed: int) -> list[str]:
-    benchmark = config.get("benchmark")
-    if benchmark not in (None, "interaction", "null"):
-        raise ValueError(f"config 'benchmark' must be 'interaction', 'null' or unset, got {benchmark!r}")
-    rate_mode = config.get("rate_mode", False)
-    if not isinstance(rate_mode, bool):
-        raise ValueError(f"config 'rate_mode' must be true or false, got {rate_mode!r}")
-    if benchmark is not None:
-        make = synthmod.interaction_benchmark_spec if benchmark == "interaction" else synthmod.null_benchmark_spec
-        n_locations = _number("n_locations", config.get("n_locations", 5000), int)
-        spec = make(n_locations=n_locations, seed=seed, rate_mode=rate_mode)
-    else:
-        edges = _array("edges", config.get("edges", []))
-        if not all(isinstance(e, list) and len(e) == 3 and all(isinstance(i, int) for i in e[:2]) for e in edges):
-            raise ValueError(f"config 'edges' must hold [parent, child, weight] triples, got {edges!r}")
+def cmd_synth(
+    out_dir: str, seed: int, *, benchmark: Literal["interaction", "null"] | None = None, n_locations: int = 5000,
+    rate_mode: bool = False, n_species: int | None = None, n_env: int | None = None,
+    edges: list[tuple[int, int, float]] | None = None, env_scale: float = 1.0, noise: float = 0.5,
+    missing_rate: float = 0.0,
+) -> list[str]:
+    """Write a synthetic dataset: the community the config spells out, or a benchmark's."""
+    if benchmark is None:
+        for key, value in (("n_species", n_species), ("n_env", n_env)):
+            if value is None:
+                raise ValueError(f"config '{key}' must be an integer when 'benchmark' is unset, got None")
         spec = synthmod.SynthSpec(
-            n_species=_number("n_species", config["n_species"], int),
-            n_env=_number("n_env", config["n_env"], int),
-            n_locations=_number("n_locations", config["n_locations"], int),
-            edges=[(p, c, _number("edges", w)) for p, c, w in edges],
-            env_scale=_number("env_scale", config.get("env_scale", 1.0)),
-            noise=_number("noise", config.get("noise", 0.5)),
-            rate_mode=rate_mode,
-            missing_rate=_number("missing_rate", config.get("missing_rate", 0.0)),
-            seed=seed,
+            n_species, n_env, n_locations, edges or [], env_scale, noise, rate_mode, missing_rate, seed
         )
+    else:
+        make = synthmod.interaction_benchmark_spec if benchmark == "interaction" else synthmod.null_benchmark_spec
+        spec = make(n_locations=n_locations, seed=seed, rate_mode=rate_mode)
+    # A benchmark fixes the community: a config may restate its values but not change them.
+    custom = dict(n_species=n_species, n_env=n_env, edges=edges, env_scale=env_scale, noise=noise)
+    for key, value in {**custom, "missing_rate": missing_rate}.items():
+        if value is not None and value != getattr(spec, key):
+            raise ValueError(f"benchmark {benchmark!r} fixes config '{key}' at {getattr(spec, key)!r}, not {value!r}")
     ds = synthmod.generate(spec)
     ds = dataio.assign_split(ds, seed=seed)
 
@@ -289,11 +287,7 @@ def cmd_synth(config: dict, out_dir: str, seed: int) -> list[str]:
     if spec.n_species <= 12 and not spec.rate_mode:
         model = synthmod.SynthModel(spec)
         report = synthmod.oracle_report(
-            model,
-            ds,
-            ds.group_masks["drivers"],
-            ds.group_masks["responders"],
-            indices=ds.split_indices("test"),
+            model, ds, ds.group_masks["drivers"], ds.group_masks["responders"], indices=ds.split_indices("test")
         )
         oracle_path = os.path.join(out_dir, "oracle_report.json")
         with open(oracle_path, "w", encoding="utf-8") as fh:
@@ -305,7 +299,6 @@ def cmd_synth(config: dict, out_dir: str, seed: int) -> list[str]:
 ENCODING_SWEEP = (("4bins", "discrete", 4), ("1bin", "discrete", 1), ("periodic", "periodic", 4), ("linear", "linear", 4))
 DEPTH_SWEEP = (3, 5, 6, 7)
 DIM_SWEEP = (64, 128, 256)
-SWEEPS = ("all", "encoding", "depth", "dim")
 
 
 def _ablate_metrics(report) -> dict:
@@ -313,23 +306,17 @@ def _ablate_metrics(report) -> dict:
     return {k: round(v, 4) for k, v in report.aggregates.items() if k in keep}
 
 
-def cmd_ablate(config: dict, out_dir: str, seed: int) -> list[str]:
-    sweeps = config.get("sweep", "all")
-    if sweeps not in SWEEPS:
-        raise ValueError(f"config 'sweep' must be one of {list(SWEEPS)}, got {sweeps!r}")
-    if "dataset" in config:
-        ds = _load_dataset(config)
+def cmd_ablate(
+    out_dir: str, seed: int, *, dataset: str | None = None, dataset_config: str | None = None, n_locations: int = 800,
+    sweep: Literal["all", "encoding", "depth", "dim"] = "all", hidden_dim: int = 32, train: dict = {},
+) -> list[str]:
+    if dataset is not None:
+        ds = _load_dataset(dataset, dataset_config)
     else:
-        spec = synthmod.interaction_benchmark_spec(
-            n_locations=_number("n_locations", config.get("n_locations", 800), int), seed=seed, rate_mode=True
-        )
+        spec = synthmod.interaction_benchmark_spec(n_locations=n_locations, seed=seed, rate_mode=True)
         ds = dataio.assign_split(synthmod.generate(spec), seed=seed)
 
-    base_train = _section(config, "train", TrainConfig, ("seed",))
-    base_train.setdefault("epochs", 2)
-    base_train.setdefault("lr", 1e-3)
-    base_train.setdefault("n_b", 4)
-    hidden = _number("hidden_dim", config.get("hidden_dim", 32), int)
+    base_train = {"epochs": 2, "lr": 1e-3, "n_b": 4, **_fields(train, "config 'train'", SECTIONS["train"])}
     both = (
         ("unconditioned", EvalProtocol("uncond", None, "responders")),
         ("conditioned", EvalProtocol("cond", "drivers", "responders")),
@@ -339,11 +326,8 @@ def cmd_ablate(config: dict, out_dir: str, seed: int) -> list[str]:
         cfg = TrainConfig(seed=seed, **base_train)
         if n_b is not None:
             cfg = replace(cfg, n_b=n_b)
-        mspec = ModelSpec(
-            family=family, n_species=ds.n_species, n_env=ds.n_env, encoding=encoding, n_b=cfg.n_b, **spec_kw
-        )
-        tm, _ = training.train(ds, mspec, cfg)
-        return tm
+        mspec = ModelSpec(family, ds.n_species, ds.n_env, n_b=cfg.n_b, encoding=encoding, **spec_kw)
+        return training.train(ds, mspec, cfg)[0]
 
     def scored(tm, first: dict, protocols=both, **after) -> list[dict]:
         """One row per inference protocol: the `first` columns, the protocol,
@@ -354,22 +338,22 @@ def cmd_ablate(config: dict, out_dir: str, seed: int) -> list[str]:
         ]
 
     tables: dict[str, list[dict]] = {}
-    if sweeps in ("all", "encoding"):
+    if sweep in ("all", "encoding"):
         rows = tables["encoding"] = []
         for label, mode, n_b in ENCODING_SWEEP:
-            rows += scored(train_once("ciso", n_b=n_b, encoding=mode, hidden_dim=hidden), {"encoding": label})
+            rows += scored(train_once("ciso", n_b=n_b, encoding=mode, hidden_dim=hidden_dim), {"encoding": label})
 
-    if sweeps in ("all", "depth"):
+    if sweep in ("all", "depth"):
         rows = tables["depth"] = []
         for depth in DEPTH_SWEEP:
-            tm = train_once("mlp", mlp_hidden=mlp_widths_for_depth(depth, hidden), hidden_dim=hidden)
+            tm = train_once("mlp", mlp_hidden=mlp_widths_for_depth(depth, hidden_dim), hidden_dim=hidden_dim)
             rows += scored(tm, {"model": f"mlp-{depth}"}, both[:1], n_params=tm.model.param_count())
         for family in ("linear", "maxent", "mlp++", "ciso"):
-            tm = train_once(family, hidden_dim=hidden)
+            tm = train_once(family, hidden_dim=hidden_dim)
             protocols = both if tm.model.spec.uses_states else both[:1]
             rows += scored(tm, {"model": family}, protocols, n_params=tm.model.param_count())
 
-    if sweeps in ("all", "dim"):
+    if sweep in ("all", "dim"):
         rows = tables["dim"] = []
         for dim in DIM_SWEEP:
             rows += scored(train_once("ciso", hidden_dim=dim), {"hidden_dim": dim})
@@ -433,10 +417,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         workers = predict_workers()
         blas = blas_threads()
-        config = _load_config(args.config)
+        config = {}
+        if args.config:
+            with open(args.config, encoding="utf-8") as fh:
+                config = json.load(fh)
+        params = inspect.signature(handler, eval_str=True).parameters.values()
+        config = _config_args({p.name: p for p in params if p.kind is p.KEYWORD_ONLY}, config)
         os.makedirs(args.out_dir, exist_ok=True)
         started = time.time()
-        outputs = handler(config, args.out_dir, args.seed, **{o: getattr(args, o) for o in options})
+        outputs = handler(args.out_dir, args.seed, **{o: getattr(args, o) for o in options}, **config)
         manifest = RunManifest(
             command=args.command,
             config=config,

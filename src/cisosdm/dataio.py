@@ -135,13 +135,19 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
     """Load the documented CSV format, validating coordinates and env values.
 
     Rows with out-of-range coordinates are rejected (count logged). A sidecar
-    JSON config, when given, fixes the roster order and defines group masks;
-    its species set must match the header exactly.
+    JSON object may hold `species`, the roster order, which must name the
+    header's species exactly, and `groups` of roster species names.
     """
-    config = None
+    sidecar = {}
     if config_path is not None:
         with open(config_path, encoding="utf-8") as fh:
-            config = json.load(fh)
+            sidecar = json.load(fh)
+        if not isinstance(sidecar, dict) or set(sidecar) - {"species", "groups"}:
+            raise SchemaError(f"{config_path}: a sidecar is a JSON object with only 'species' and 'groups' keys")
+        groups = sidecar.get("groups", {})
+        lists = [sidecar.get("species", []), *groups.values()] if isinstance(groups, dict) else [None]
+        if not all(isinstance(v, list) and all(isinstance(s, str) for s in v) for v in lists):
+            raise SchemaError(f"{config_path}: sidecar 'species' must be an array of names, 'groups' an object of them")
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -172,8 +178,8 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
         raise SchemaError(f"{path}: missing required columns ['sp_*']")
 
     header_species = [name for name, _ in sp_cols]
-    if config is not None and "species" in config:
-        roster = list(config["species"])
+    if "species" in sidecar:
+        roster = sidecar["species"]
         if sorted(roster) != sorted(header_species):
             extra = sorted(set(header_species) - set(roster))
             absent = sorted(set(roster) - set(header_species))
@@ -186,6 +192,12 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
     else:
         roster = header_species
         ordered = sp_cols
+    group_masks = {}
+    for gname, members in sidecar.get("groups", {}).items():
+        stray = sorted(set(members) - set(roster))
+        if stray:
+            raise SchemaError(f"{config_path}: group {gname!r} names species not in the roster: {stray}")
+        group_masks[gname] = np.isin(roster, members)
 
     # Rows stream from the file into arrays sized by its line count; the
     # file's text is never held whole.
@@ -221,12 +233,6 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
                 tags.append(row[col["split"]])
     if rejected:
         log.warning("%s: rejected %d rows with out-of-range coordinates", path, rejected)
-
-    group_masks = {}
-    if config is not None:
-        for gname, members in config.get("groups", {}).items():
-            members = set(members)
-            group_masks[gname] = np.array([s in members for s in roster])
 
     split = None
     if has_split and any(tags):

@@ -33,6 +33,11 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("n_species", "n_env", "n_locations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if not 0.0 <= self.missing_rate < 1.0:
+            raise ValueError(f"missing_rate must lie in [0, 1), got {self.missing_rate!r}")
         for p, c, w in self.edges:
             if not (0 <= p < self.n_species and 0 <= c < self.n_species):
                 raise ValueError(f"edge ({p}, {c}) references unknown species")

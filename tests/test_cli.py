@@ -90,6 +90,23 @@ class TestSynthCommand:
             "scipy": scipy.__version__,
         }
 
+    def test_manifest_records_config_with_defaults(self, synth_bundle, trained_bundle):
+        synth = json.loads((synth_bundle / "manifest.json").read_text())["config"]
+        assert synth == {
+            "benchmark": "interaction",
+            "n_locations": 300,
+            "rate_mode": False,
+            "n_species": None,
+            "n_env": None,
+            "edges": None,
+            "env_scale": 1.0,
+            "noise": 0.5,
+            "missing_rate": 0.0,
+        }
+        train = json.loads((trained_bundle / "manifest.json").read_text())["config"]
+        assert train["dataset_config"] is None and train["family"] == "ciso"
+        assert train["train"] == {"epochs": 1, "batch_size": 32, "lr": 0.003, "n_b": 1}
+
     def test_oracle_report_has_headroom(self, synth_bundle):
         report = json.loads((synth_bundle / "oracle_report.json").read_text())
         assert report["conditional_mae"] <= report["marginal_mae"]
@@ -496,6 +513,34 @@ class TestErrors:
             ("delta", {**scored, "source_species": "species_00", "split": "tset"}, ["split", "'tset'"]),
             ("delta", {**scored, "source_species": "species_00", "targets": "species_01"},
              ["config 'targets'", "JSON array"]),
+            # Every top-level key is declared by its command, with a kind.
+            ("synth", {"n_species": 3, "n_env": 2, "n_locations": 50, "noize": 0.1}, ["'noize'", "'noise'"]),
+            ("train", {"dataset": dataset, "famly": "mlp"}, ["'famly'", "'family'"]),
+            ("train", {"dataset": dataset, "hyperparams": {"family": "mlp"}}, ["'hyperparams'", "'family'"]),
+            ("train", {"dataset": dataset, "preset": "satbird"}, ["'preset'"]),
+            ("train", {"dataset": 5}, ["config 'dataset'", "a string", "5"]),
+            ("train", {"dataset": dataset, "dataset_config": 7}, ["config 'dataset_config'", "7"]),
+            ("eval", {**scored, "checkpoint": 0}, ["config 'checkpoint'", "a string", "0"]),
+            ("delta", scored, ["config needs 'source_species'"]),
+            ("prepare", {"dataset": dataset, "min_presences": True}, ["config 'min_presences'", "True"]),
+            ("prepare", {"dataset": dataset, "min_presences": 2.7}, ["config 'min_presences'", "2.7"]),
+            ("synth", {"n_species": 4.9, "n_env": 2, "n_locations": 50}, ["config 'n_species'", "4.9"]),
+            ("prepare", {"dataset": dataset, "block_deg": "1.0"}, ["config 'block_deg'", "'1.0'"]),
+            ("prepare", {"dataset": dataset, "block_deg": 10**400}, ["config 'block_deg'", "a finite number"]),
+            # synth writes only datasets that load_dataset accepts.
+            ("synth", {"n_species": 0, "n_env": 2, "n_locations": 50}, ["n_species", "0"]),
+            ("synth", {"n_species": 3, "n_env": 0, "n_locations": 50}, ["n_env", "0"]),
+            ("synth", {"n_species": 3, "n_env": 2, "n_locations": 0}, ["n_locations", "0"]),
+            ("synth", {"n_species": 3, "n_env": 2, "n_locations": 50, "missing_rate": 1.0}, ["missing_rate", "1.0"]),
+            ("synth", {"n_species": 3, "n_env": 2, "n_locations": 50, "missing_rate": -0.1}, ["missing_rate", "-0.1"]),
+            ("synth", {"benchmark": "interaction", "n_species": 3}, ["'interaction'", "'n_species'", "3"]),
+            ("synth", {"benchmark": "null", "edges": [[0, 5, 4.0]]}, ["'null'", "'edges'"]),
+            ("synth", {"benchmark": "interaction", "noise": 0.7}, ["'interaction'", "'noise'", "0.7"]),
+            # A protocol name becomes part of a file name.
+            ("eval", {**scored, "protocols": [{"name": "x/y"}]}, ["'protocols'[0]", "'x/y'", "path separator"]),
+            ("eval", {**scored, "protocols": [{"name": ""}]}, ["'protocols'[0]", "''", "non-empty"]),
+            ("eval", {**scored, "protocols": [{"name": 5}]}, ["'protocols'[0]", "'name'", "5"]),
+            ("map", {**scored, "protocol": {"name": "a/b"}}, ["'protocol'", "'a/b'"]),
         ]
         for k, (command, config, fragments) in enumerate(cases):
             cfg = write_json(tmp_path / f"bad{k}.json", config)
@@ -538,6 +583,20 @@ class TestErrors:
         for name, tree in _src_modules():
             lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
             assert not lines, f"{name} has assert statements at lines {lines}"
+
+    def test_cli_reads_config_keys_only_through_signatures(self):
+        # Each command declares its config keys as keyword-only parameters and
+        # `main` checks a config against them, so no code reads a config dict.
+        (tree,) = [tree for name, tree in _src_modules() if name == "cli.py"]
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.arg) and node.arg == "config"
+            or isinstance(node, (ast.Attribute, ast.Subscript))
+            and getattr(node.value, "id", None) == "config"
+            and getattr(node, "attr", "get") == "get"
+        ]
+        assert not lines, f"cli.py takes or reads a config dict at lines {lines}; declare a keyword parameter"
 
     def test_src_fans_out_to_threads_only_through_run_split(self):
         # One fan-out, `numerics.run_split`, opens thread pools and holds BLAS for them.

@@ -49,6 +49,24 @@ class TestLoadDataset:
         assert np.array_equal(ds.targets[0], [1.0, 1.0, 0.0])
         assert np.array_equal(ds.group_masks["short"], [True, False, True])
 
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            ([], "only 'species' and 'groups'"),
+            ({"group": {"short": ["moss"]}}, "only 'species' and 'groups'"),
+            ({"species": "oak"}, "array of names"),
+            ({"species": ["oak", "fern", 5]}, "array of names"),
+            ({"groups": ["moss"]}, "object of them"),
+            ({"groups": {"short": "moss"}}, "object of them"),
+            ({"groups": {"short": ["moss", "mos"], "tall": ["oak"]}}, "group 'short' names species not in the roster: \\['mos'\\]"),
+        ],
+    )
+    def test_sidecar_shape_and_group_members_are_checked(self, tmp_path, sidecar, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(sidecar))
+        with pytest.raises(dataio.SchemaError, match=message):
+            dataio.load_dataset(write_csv(tmp_path, BASIC), str(cfg))
+
     def test_missing_columns_listed(self, tmp_path):
         with pytest.raises(dataio.SchemaError, match="lat"):
             dataio.load_dataset(write_csv(tmp_path, "id,lon,env_0,sp_a\nr,0,1,1\n"))

@@ -328,7 +328,7 @@ class TestPredictMap:
             "dataset": str(tmp_path / "ds.csv"),
             "protocol": {"condition_group": "drivers", "target_group": "responders", "split": "test"},
         }
-        (path,) = cli.cmd_map(config, str(tmp_path), seed=0)
+        (path,) = cli.cmd_map(str(tmp_path), 0, **config)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         n_test = ds.split_indices("test").size
