@@ -68,7 +68,7 @@ KINDS = {
     float: (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"),
     str: (lambda v: isinstance(v, str), "a string"),
     list: (lambda v: isinstance(v, list), "a JSON array"),
-    tuple: (lambda v: isinstance(v, list), "a JSON array"),
+    tuple: (lambda v: isinstance(v, list), "a JSON array of {n} items"),
     dict: (lambda v: isinstance(v, dict), "a JSON object"),
 }
 
@@ -95,7 +95,7 @@ def _check(where: str, value, kind):
         return value
     accepts, wanted = KINDS[origin or kind]
     if not accepts(value) or (origin is tuple and len(value) != len(args)):
-        raise ValueError(f"{where} must be {wanted}{f' of {len(args)} items' * (origin is tuple)}, got {value!r}")
+        raise ValueError(f"{where} must be {wanted.format(n=len(args))}, got {value!r}")
     if origin is list:
         return [_check(where, v, args[0]) for v in value]
     if origin is tuple:
