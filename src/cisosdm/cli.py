@@ -17,15 +17,14 @@ import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from types import UnionType
-from typing import Literal, Union, get_args, get_origin
+from typing import Literal
 
 import numpy as np
 import scipy
 
-from . import __version__, colocate as co, dataio, synth as synthmod, training
+from . import __version__, check_value, colocate as co, dataio, synth as synthmod, training, unique_keys
 from .metrics import format_report_table
-from .models import ModelSpec, load_checkpoint, mlp_widths_for_depth, predict_workers, save_checkpoint
+from .models import FAMILIES, ModelSpec, load_checkpoint, mlp_widths_for_depth, predict_workers, save_checkpoint
 from .numerics import blas_threads
 from .training import PRESETS, EvalProtocol, TrainConfig
 
@@ -61,46 +60,15 @@ SECTIONS = {
 }
 PROTOCOL_KEYS = inspect.signature(EvalProtocol, eval_str=True).parameters
 
-# Plain kinds of config values: the test a JSON value must pass, and how an error names the kind.
-KINDS = {
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    int: (lambda v: type(v) is int or (type(v) is float and v.is_integer()), "an integer"),
-    float: (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    list: (lambda v: isinstance(v, list), "a JSON array"),
-    tuple: (lambda v: isinstance(v, list), "a JSON array of {n} items"),
-    dict: (lambda v: isinstance(v, dict), "a JSON object"),
-}
-
 
 def _fields(given, where: str, allowed) -> dict:
     """A copy of `given`; raise unless it is a JSON object whose every key is in `allowed`."""
-    if not isinstance(given, dict):
-        raise ValueError(f"{where} must be a JSON object, not a {type(given).__name__}")
+    check_value(where, given, dict)
     unknown = sorted(set(given) - set(allowed))
     if unknown:
         moved = "".join(f" (set {s}.{k})" for s in SECTIONS if s in allowed for k in unknown if k in SECTIONS[s])
         raise ValueError(f"{where} has unknown keys {unknown}{moved}; allowed: {sorted(allowed)}")
     return dict(given)
-
-
-def _check(where: str, value, kind):
-    """`value` of `where` checked against the annotation `kind`; numbers come back as int or float."""
-    origin, args = get_origin(kind), get_args(kind)
-    if origin in (Union, UnionType):  # T | None
-        return None if value is None else _check(where, value, args[0])
-    if origin is Literal:
-        if value not in args:
-            raise ValueError(f"{where} must be one of {list(args)}, got {value!r}")
-        return value
-    accepts, wanted = KINDS[origin or kind]
-    if not accepts(value) or (origin is tuple and len(value) != len(args)):
-        raise ValueError(f"{where} must be {wanted.format(n=len(args))}, got {value!r}")
-    if origin is list:
-        return [_check(where, v, args[0]) for v in value]
-    if origin is tuple:
-        return tuple(_check(where, v, k) for v, k in zip(value, args))
-    return kind(value) if kind in (int, float) else value
 
 
 def _config_args(params, given, where: str = "config") -> dict:
@@ -110,7 +78,7 @@ def _config_args(params, given, where: str = "config") -> dict:
     missing = [name for name, p in params.items() if p.default is p.empty and name not in given]
     if missing:
         raise ValueError(f"{where} needs '{missing[0]}'")
-    checked = {name: _check(f"{where} '{name}'", value, params[name].annotation) for name, value in given.items()}
+    checked = {name: check_value(f"{where} '{name}'", v, params[name].annotation) for name, v in given.items()}
     return {name: checked.get(name, p.default) for name, p in params.items()}
 
 
@@ -170,12 +138,11 @@ def cmd_colocate(
 
 def cmd_train(
     out_dir: str, seed: int, preset: str | None = None, *, dataset: str, dataset_config: str | None = None,
-    family: str = "ciso", hyperparams: dict = {}, train: dict = {},
+    family: Literal[FAMILIES] = "ciso", hyperparams: dict = {}, train: dict = {},
 ) -> list[str]:
     ds = _load_dataset(dataset, dataset_config)
     train = _fields(train, "config 'train'", SECTIONS["train"])
     cfg = replace(PRESETS[preset] if preset else TrainConfig(), seed=seed, **train)
-    cfg.validate()
     hyper = _fields(hyperparams, "config 'hyperparams'", SECTIONS["hyperparams"])
     spec = ModelSpec(family=family, n_species=ds.n_species, n_env=ds.n_env, n_b=cfg.n_b, **hyper)
     tm, history = training.train(ds, spec, cfg)
@@ -263,8 +230,7 @@ def cmd_synth(
     """Write a synthetic dataset: the community the config spells out, or a benchmark's."""
     if benchmark is None:
         for key, value in (("n_species", n_species), ("n_env", n_env)):
-            if value is None:
-                raise ValueError(f"config '{key}' must be an integer when 'benchmark' is unset, got None")
+            check_value(f"config '{key}' without a 'benchmark'", value, int)
         spec = synthmod.SynthSpec(
             n_species, n_env, n_locations, edges or [], env_scale, noise, rate_mode, missing_rate, seed
         )
@@ -420,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         config = {}
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
+                config = json.load(fh, object_pairs_hook=unique_keys)
         params = inspect.signature(handler, eval_str=True).parameters.values()
         config = _config_args({p.name: p for p in params if p.kind is p.KEYWORD_ONLY}, config)
         os.makedirs(args.out_dir, exist_ok=True)

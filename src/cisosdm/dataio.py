@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import unique_keys
+
 log = logging.getLogger(__name__)
 
 SPLIT_TAGS = ("train", "val", "test")
@@ -70,6 +72,8 @@ class Dataset:
         )
 
     def split_indices(self, tag: str) -> np.ndarray:
+        if tag not in SPLIT_TAGS:
+            raise ValueError(f"unknown split {tag!r}; allowed: {list(SPLIT_TAGS)}")
         if self.split is None:
             raise ValueError("dataset has no split tags; run `cisosdm prepare` to assign them")
         return np.flatnonzero(self.split == tag)
@@ -141,7 +145,7 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
     sidecar = {}
     if config_path is not None:
         with open(config_path, encoding="utf-8") as fh:
-            sidecar = json.load(fh)
+            sidecar = json.load(fh, object_pairs_hook=unique_keys)
         if not isinstance(sidecar, dict) or set(sidecar) - {"species", "groups"}:
             raise SchemaError(f"{config_path}: a sidecar is a JSON object with only 'species' and 'groups' keys")
         groups = sidecar.get("groups", {})

@@ -56,8 +56,6 @@ class StateEmbeddingTable:
     """
 
     def __init__(self, mode: str, n_b: int, dim: int, rng: np.random.Generator):
-        if mode not in MODES:
-            raise ValueError(f"unknown encoding mode {mode!r}")
         if mode == "periodic" and dim % 2:
             raise ValueError("periodic encoding needs an even embedding dim")
         self.mode = mode

@@ -14,13 +14,13 @@ import json
 import os
 import struct
 from dataclasses import asdict, dataclass, field
-from numbers import Integral, Real
+from typing import Literal
 
 import numpy as np
 
-from . import ciso_threads, numerics as nm
+from . import check_fields, ciso_threads, numerics as nm, unique_keys
 from .dataio import NormStats
-from .encoding import EmbeddingTables, species_tokens
+from .encoding import MODES, EmbeddingTables, species_tokens
 from .features import MaxentConfig, expand
 from .numerics import Tensor
 
@@ -34,13 +34,14 @@ MAX_PREDICT_ROWS = 1024
 
 CHECKPOINT_MAGIC = b"CISOCKPT"
 CHECKPOINT_VERSION = 1
+HEADER_KEYS = ("format_version", "spec", "roster", "norm", "maxent", "arrays")
 
 
 @dataclass
 class ModelSpec:
     """Architecture and hyperparameters for any family."""
 
-    family: str
+    family: Literal[FAMILIES]
     n_species: int
     n_env: int
     hidden_dim: int = 256
@@ -48,28 +49,21 @@ class ModelSpec:
     transformer_layers: int = 3
     heads: int = 4
     n_b: int = 4
-    encoding: str = "discrete"
+    encoding: Literal[MODES] = "discrete"
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown model family {self.family!r}; choose from {FAMILIES}")
+        check_fields(self)
         for name in ("n_species", "n_env", "hidden_dim", "transformer_layers", "heads", "n_b"):
-            value = getattr(self, name)
             low = 0 if name in ("n_env", "transformer_layers") else 1
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if isinstance(self.dropout, bool) or not isinstance(self.dropout, Real) or not 0.0 <= self.dropout < 1.0:
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
+        if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
         if self.hidden_dim % self.heads != 0:
             raise ValueError(f"hidden_dim {self.hidden_dim} not divisible by heads {self.heads}")
-        if self.mlp_hidden is not None:
-            widths = self.mlp_hidden
-            if not isinstance(widths, (list, tuple)) or not all(
-                isinstance(w, Integral) and not isinstance(w, bool) and w >= 1 for w in widths
-            ):
-                raise ValueError(f"mlp_hidden must be a list of integers >= 1, got {widths!r}")
-            self.mlp_hidden = tuple(int(w) for w in widths)
+        if self.mlp_hidden is not None and min(self.mlp_hidden, default=1) < 1:
+            raise ValueError(f"mlp_hidden must be a list of integers >= 1, got {self.mlp_hidden!r}")
 
     @property
     def trunk_widths(self) -> tuple[int, ...]:
@@ -78,13 +72,6 @@ class ModelSpec:
     @property
     def uses_states(self) -> bool:
         return self.family in ("mlp++", "ciso")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(**d)
 
 
 def predict_batch_rows(spec: ModelSpec) -> int:
@@ -418,7 +405,7 @@ def save_checkpoint(tm: TrainedModel, path: str) -> None:
     header = {
         "format_version": CHECKPOINT_VERSION,
         "toolkit_version": __version__,
-        "spec": tm.model.spec.to_dict(),
+        "spec": asdict(tm.model.spec),
         "roster": tm.roster,
         "norm": json.loads(tm.norm.to_json()),
         "maxent": json.loads(tm.maxent_config.to_json()) if tm.maxent_config else None,
@@ -448,13 +435,18 @@ def load_checkpoint(path: str) -> TrainedModel:
     (hlen,) = struct.unpack_from("<Q", data, pos)
     pos += 8
     try:
-        header = json.loads(data[pos : pos + hlen].decode("utf-8"))
-    except ValueError:  # covers UnicodeDecodeError and JSONDecodeError
-        raise ValueError(f"{path}: truncated or corrupt header") from None
+        header = json.loads(data[pos : pos + hlen].decode("utf-8"), object_pairs_hook=unique_keys)
+    except ValueError as exc:  # covers UnicodeDecodeError, JSONDecodeError and a repeated key
+        raise ValueError(f"{path}: truncated or corrupt header ({exc})") from None
     pos += hlen
+    if not isinstance(header, dict) or not set(HEADER_KEYS) <= set(header):
+        raise ValueError(f"{path}: the header must be a JSON object with keys {list(HEADER_KEYS)}")
     if header["format_version"] != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {header['format_version']}")
-    spec = ModelSpec.from_dict(header["spec"])
+    try:
+        spec = ModelSpec(**header["spec"])
+    except (TypeError, ValueError) as exc:  # not an object, an unknown or missing key, a bad value
+        raise ValueError(f"{path}: header 'spec': {exc}") from None
     maxent = MaxentConfig.from_json(json.dumps(header["maxent"])) if header["maxent"] else None
     model = build_model(spec, seed=0, maxent_config=maxent)
     loaded: list[str] = []

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import check_fields
 from .dataio import Dataset
 
 
@@ -32,17 +33,16 @@ class SynthSpec:
     missing_rate: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_fields(self)
         for name in ("n_species", "n_env", "n_locations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if not 0.0 <= self.missing_rate < 1.0:
             raise ValueError(f"missing_rate must lie in [0, 1), got {self.missing_rate!r}")
-        for p, c, w in self.edges:
+        for p, c, _ in self.edges:
             if not (0 <= p < self.n_species and 0 <= c < self.n_species):
                 raise ValueError(f"edge ({p}, {c}) references unknown species")
-            if not np.isfinite(w):
-                raise ValueError(f"edge ({p}, {c}) has non-finite weight")
         topo_order(self.n_species, self.edges)  # raises on cycles
 
 
@@ -72,7 +72,6 @@ class SynthModel:
     """Realized generator parameters; shared by sampling and the oracle."""
 
     def __init__(self, spec: SynthSpec):
-        spec.validate()
         self.spec = spec
         rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(11,)))
         self.theta = rng.normal(0.0, spec.env_scale, size=(spec.n_species, spec.n_env))

@@ -15,11 +15,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, replace
-from numbers import Integral, Real
+from typing import Literal
 
 import numpy as np
 
-from . import numerics as nm
+from . import check_fields, numerics as nm
 from .dataio import SPLIT_TAGS, Dataset, apply_norm, fit_norm
 from .encoding import assign_states
 from .features import fit_maxent
@@ -40,19 +40,14 @@ class TrainConfig:
     weight_decay: float = 0.01
     target_group: str | None = None  # restrict the loss to one species group
 
-    def validate(self) -> None:
-        rules = (
-            ("lr", Real, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
-            ("weight_decay", Real, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
-            ("mask_cap_fraction", Real, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
-            ("epochs", Integral, lambda v: v >= 1, "an integer >= 1"),
-            ("batch_size", Integral, lambda v: v >= 1, "an integer >= 1"),
-            ("n_b", Integral, lambda v: v >= 1, "an integer >= 1"),
-        )
-        for name, kind, ok, wanted in rules:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-                raise ValueError(f"{name} must be {wanted}, got {value!r}")
+    def __post_init__(self):
+        check_fields(self)
+        for name, low, high in (
+            ("lr", 0, math.inf), ("weight_decay", 0, math.inf), ("mask_cap_fraction", 0, 1),
+            ("epochs", 1, math.inf), ("batch_size", 1, math.inf), ("n_b", 1, math.inf),
+        ):
+            if not low <= getattr(self, name) <= high:
+                raise ValueError(f"{name} must lie in [{low}, {high}], got {getattr(self, name)!r}")
 
 
 # Hyperparameter presets for the three standard setups.
@@ -150,9 +145,6 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
     Returns the trained model (best-epoch parameters restored) and a history
     with one row per epoch. The dataset must carry split tags.
     """
-    config.validate()
-    if ds.split is None:
-        raise ValueError("dataset must be split before training")
     train_idx = ds.split_indices("train")
     val_idx = ds.split_indices("val")
     if train_idx.size == 0:
@@ -260,10 +252,12 @@ class EvalProtocol:
     name: str
     condition_group: str | None = None
     target_group: str | None = None
-    split: str = "test"
+    split: Literal[SPLIT_TAGS] = "test"
+
+    def __post_init__(self):
+        check_fields(self)
 
     def resolve(self, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-        _check_split(self.split)
         condition = (
             ds.group_mask(self.condition_group) if self.condition_group else np.zeros(ds.n_species, bool)
         )
@@ -272,11 +266,6 @@ class EvalProtocol:
             overlap = [s for s, c, t in zip(ds.species, condition, target) if c and t]
             raise ValueError(f"protocol '{self.name}': condition and target masks overlap on {overlap[:5]}")
         return condition, target
-
-
-def _check_split(split: str) -> None:
-    if split not in SPLIT_TAGS:
-        raise ValueError(f"unknown split {split!r}; allowed: {list(SPLIT_TAGS)}")
 
 
 def _predict(tm: TrainedModel, ds: Dataset, rows: np.ndarray, condition: np.ndarray) -> np.ndarray:
@@ -324,7 +313,6 @@ def conditioning_delta(
     """
     if source_species not in ds.species:
         raise ValueError(f"unknown source species '{source_species}'")
-    _check_split(split)
     s = ds.species.index(source_species)
     idx = ds.split_indices(split)
     qualifying = idx[(ds.available[idx, s]) & (ds.targets[idx, s] > 0)]

@@ -144,6 +144,26 @@ class TestTrainCommand:
         b = (out2 / "checkpoint.ckpt").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize(
+        "section, key, spelled, plain",
+        [("train", "lr", 1, 1.0), ("hyperparams", "dropout", 0, 0.0),
+         ("train", "epochs", 1.0, 1), ("hyperparams", "hidden_dim", 8.0, 8)],
+    )
+    def test_number_spelling_does_not_change_the_checkpoint(self, synth_bundle, tmp_path, section, key, spelled, plain):
+        # A setting's kind decides what the checkpoint stores, not how the JSON number is written.
+        blobs = []
+        for value in (spelled, plain):
+            config = {
+                "dataset": str(synth_bundle / "dataset.csv"),
+                "hyperparams": {"hidden_dim": 8, "heads": 2, "transformer_layers": 1, "dropout": 0.0},
+                "train": {"epochs": 1, "batch_size": 32, "lr": 0.003, "n_b": 1},
+            }
+            config[section][key] = value
+            cfg, out = write_json(tmp_path / f"{value!r}.json", config), tmp_path / repr(value)
+            assert run_cli(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+            blobs.append((out / "checkpoint.ckpt").read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_checkpoint_bytes_do_not_depend_on_thread_count(self, synth_bundle, tmp_path, monkeypatch):
         cfg = write_json(
             tmp_path / "train.json",
@@ -541,10 +561,20 @@ class TestErrors:
             ("eval", {**scored, "protocols": [{"name": ""}]}, ["'protocols'[0]", "''", "non-empty"]),
             ("eval", {**scored, "protocols": [{"name": 5}]}, ["'protocols'[0]", "'name'", "5"]),
             ("map", {**scored, "protocol": {"name": "a/b"}}, ["'protocol'", "'a/b'"]),
+            # Section values are checked before the dataset loads.
+            ("train", {"dataset": dataset, "train": {"target_group": 5}}, ["'target_group'", "a string", "5"]),
+            ("train", {"dataset": dataset, "hyperparams": {"encoding": "bogus"}},
+             ["'encoding'", "'bogus'", "'discrete'", "'linear'", "'periodic'"]),
+            # A str row is the config file's text: a dict cannot hold a repeated key.
+            ("synth", '{"n_species": 3, "n_env": 2, "n_locations": 40, "n_species": 5}',
+             ["repeats keys ['n_species']"]),
+            ("train", f'{{"dataset": {json.dumps(dataset)}, "train": {{"lr": 0.1, "lr": 0.2}}}}',
+             ["repeats keys ['lr']"]),
         ]
         for k, (command, config, fragments) in enumerate(cases):
-            cfg = write_json(tmp_path / f"bad{k}.json", config)
-            rc = run_cli([command, "--config", cfg, "--out-dir", str(tmp_path / f"o{k}")])
+            cfg = tmp_path / f"bad{k}.json"
+            cfg.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+            rc = run_cli([command, "--config", str(cfg), "--out-dir", str(tmp_path / f"o{k}")])
             err = capsys.readouterr().err
             assert rc == 2, (command, config)
             assert err.startswith("error:"), err
@@ -583,6 +613,13 @@ class TestErrors:
         for name, tree in _src_modules():
             lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
             assert not lines, f"{name} has assert statements at lines {lines}"
+
+    def test_src_checks_number_kinds_only_in_check_value(self):
+        # One kind check, `cisosdm.check_value`, decides what kind a config value has.
+        banned = {"numbers", "Integral", "Real"}
+        for name, tree in _src_modules(but="__init__.py"):
+            lines = [node.lineno for node in ast.walk(tree) if _names(node) & banned]
+            assert not lines, f"{name} uses {sorted(banned)} at lines {lines}; call cisosdm.check_value"
 
     def test_cli_reads_config_keys_only_through_signatures(self):
         # Each command declares its config keys as keyword-only parameters and

@@ -67,6 +67,12 @@ class TestLoadDataset:
         with pytest.raises(dataio.SchemaError, match=message):
             dataio.load_dataset(write_csv(tmp_path, BASIC), str(cfg))
 
+    def test_sidecar_repeated_key_is_an_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"groups": {"short": ["moss"]}, "groups": {"tall": ["oak"]}}')
+        with pytest.raises(ValueError, match=r"repeats keys \['groups'\]"):
+            dataio.load_dataset(write_csv(tmp_path, BASIC), str(cfg))
+
     def test_missing_columns_listed(self, tmp_path):
         with pytest.raises(dataio.SchemaError, match="lat"):
             dataio.load_dataset(write_csv(tmp_path, "id,lon,env_0,sp_a\nr,0,1,1\n"))

@@ -111,10 +111,6 @@ class TestStateEncoding:
         out = tables.state.encode(codes, rates)
         assert out.shape == (1, 3, 8)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            enc.StateEmbeddingTable("fourier", 4, 8, np.random.default_rng(0))
-
 
 class TestSpeciesTokens:
     def test_token_is_sum_of_embeddings(self):

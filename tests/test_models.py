@@ -6,6 +6,7 @@ import tempfile
 import threading
 import time
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -54,7 +55,11 @@ class TestSpecValidation:
 
     def test_roundtrip_dict(self):
         spec = toy_spec("mlp", mlp_hidden=(16, 16, 16))
-        assert models.ModelSpec.from_dict(spec.to_dict()) == spec
+        assert models.ModelSpec(**asdict(spec)) == spec
+
+    def test_unknown_encoding_rejected(self):
+        with pytest.raises(ValueError, match="'encoding' must be one of \\['discrete', 'linear', 'periodic'\\]"):
+            toy_spec("ciso", encoding="fourier")
 
 
 class TestForwardContracts:
@@ -560,6 +565,21 @@ class TestCheckpoint:
         entry["shape"] = entry["shape"][::-1]
         assert entry["shape"][0] != entry["shape"][1]
         self.assert_rejected(path, self.with_header(header, arrays), f"'{entry['name']}'", "shape")
+
+    @pytest.mark.parametrize(
+        "rewrite, fragments",
+        [
+            (lambda h: json.dumps([h]), ["a JSON object with keys"]),
+            (lambda h: json.dumps({k: v for k, v in h.items() if k != "roster"}), ["a JSON object with keys"]),
+            (lambda h: json.dumps({**h, "spec": {**h["spec"], "depth": 3}}), ["header 'spec'", "'depth'"]),
+            (lambda h: json.dumps({**h, "spec": {**h["spec"], "encoding": "bogus"}}), ["header 'spec'", "'bogus'"]),
+            (lambda h: json.dumps(h)[:-1] + ', "roster": ["x"]}', ["repeats keys ['roster']"]),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, rewrite, fragments):
+        path, _, header, arrays = self.saved(tmp_path)
+        blob = rewrite(header).encode("utf-8")
+        self.assert_rejected(path, models.CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + arrays, *fragments)
 
     def test_missing_array_rejected(self, tmp_path):
         path, _, header, arrays = self.saved(tmp_path)

@@ -17,14 +17,25 @@ def chain_spec(w=4.0, n_locations=1000, seed=0, **kw):
 
 class TestSpec:
     def test_cycle_rejected(self):
-        spec = synth.SynthSpec(n_species=2, n_env=1, n_locations=10, edges=[(0, 1, 1.0), (1, 0, 1.0)])
         with pytest.raises(ValueError, match="cycle"):
-            spec.validate()
+            synth.SynthSpec(n_species=2, n_env=1, n_locations=10, edges=[(0, 1, 1.0), (1, 0, 1.0)])
 
     def test_unknown_species_in_edge(self):
-        spec = synth.SynthSpec(n_species=2, n_env=1, n_locations=10, edges=[(0, 5, 1.0)])
         with pytest.raises(ValueError, match="unknown species"):
-            spec.validate()
+            synth.SynthSpec(n_species=2, n_env=1, n_locations=10, edges=[(0, 5, 1.0)])
+
+    def test_python_inputs_are_checked_and_normalised(self):
+        # Python callers (perfbench, tests) pass tuples and numpy numbers; they come back as plain ints, floats and lists.
+        edges = ((0, 1, 2), (np.int64(1), 2, np.float64(-1.5)))
+        spec = synth.SynthSpec(n_species=np.int64(3), n_env=2, n_locations=np.int32(10), edges=edges)
+        assert spec.edges == [(0, 1, 2.0), (1, 2, -1.5)]
+        assert type(spec.n_species) is type(spec.n_locations) is int
+        assert all(type(p) is type(c) is int and type(w) is float for p, c, w in spec.edges)
+        for edges, fragment in (
+            ([(0, 1, float("nan"))], "a finite number"), ([(0, 1)], "of 3 items"), ([(True, 1, 1.0)], "an integer")
+        ):
+            with pytest.raises(ValueError, match=fragment):
+                synth.SynthSpec(n_species=2, n_env=1, n_locations=10, edges=edges)
 
     def test_topo_order_respects_edges(self):
         order = synth.topo_order(4, [(2, 0, 1.0), (0, 3, 1.0)])

@@ -1,5 +1,6 @@
 import csv
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,7 +177,7 @@ class TestMaskIntegrity:
     def test_zero_gradients_at_known_and_unavailable(self):
         ds = small_dataset(missing=0.2)
         spec = tiny_spec()
-        model = build_model(spec.__class__(**{**spec.to_dict(), "n_env": 3, "n_b": 1}), seed=0)
+        model = build_model(replace(spec, n_env=3, n_b=1), seed=0)
         rng = np.random.default_rng(4)
         idx = np.arange(16)
         env = ds.env[idx]
