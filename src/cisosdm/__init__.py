@@ -1,6 +1,7 @@
 """cisosdm: multi-species distribution modeling conditioned on incomplete
 species observations, with baselines, data plumbing, and a synthetic oracle."""
 
+import json
 import os
 import sys
 from numbers import Integral, Real
@@ -68,6 +69,29 @@ def unique_keys(pairs: list) -> dict:
     if len(set(keys)) < len(keys):
         raise ValueError(f"a JSON object repeats keys {sorted({k for k in keys if keys.count(k) > 1})}")
     return dict(pairs)
+
+
+def read_json(path: str, blob: bytes | None = None):
+    """The JSON value in the file at `path`, or in `blob`, the checkpoint header read from it.
+    Text that is not UTF-8, a syntax error or a repeated key raises ValueError naming `path`."""
+    try:
+        if blob is None:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        return json.loads(blob.decode("utf-8"), object_pairs_hook=unique_keys)
+    except ValueError as exc:  # covers UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def write_json(path: str | None, obj, indent: Literal[2] | None = 2) -> str:
+    """`obj` as JSON text with sorted keys, arrays (anything with ``.tolist()``) as lists,
+    written to `path` unless it is None (a checkpoint header). Every file the toolkit
+    saves is laid out by `indent` 2, except `norm_stats.json` and `splits.json`."""
+    text = json.dumps(obj, indent=indent, sort_keys=True, default=lambda array: array.tolist())
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return text
 
 
 def _apply_thread_cap() -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
-import json
 import logging
 import os
 import platform
@@ -22,7 +21,7 @@ from typing import Literal
 import numpy as np
 import scipy
 
-from . import __version__, check_value, colocate as co, dataio, synth as synthmod, training, unique_keys
+from . import __version__, check_value, colocate as co, dataio, read_json, synth as synthmod, training, write_json
 from .metrics import format_report_table
 from .models import FAMILIES, ModelSpec, load_checkpoint, mlp_widths_for_depth, predict_workers, save_checkpoint
 from .numerics import blas_threads
@@ -45,11 +44,6 @@ class RunManifest:
     versions: dict = field(
         default_factory=lambda: {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
     )
-
-    def write(self, out_dir: str) -> None:
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
 
 
 # Config sections that fill in a dataclass, and the keys each may set; the
@@ -113,10 +107,8 @@ def cmd_prepare(
     stats_path = os.path.join(out_dir, "norm_stats.json")
     splits_path = os.path.join(out_dir, "splits.json")
     dataio.save_dataset(ds, csv_path, cfg_path)
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        fh.write(stats.to_json())
-    with open(splits_path, "w", encoding="utf-8") as fh:
-        json.dump(dict(zip(ds.ids, ds.split.tolist())), fh, sort_keys=True)
+    write_json(stats_path, asdict(stats), None)
+    write_json(splits_path, dict(zip(ds.ids, ds.split)), None)
     return [csv_path, cfg_path, stats_path, splits_path]
 
 
@@ -176,8 +168,7 @@ def cmd_eval(
     for protocol in chosen or [EvalProtocol("unconditioned")]:
         report = training.evaluate(tm, ds, protocol)
         path = os.path.join(out_dir, f"report_{protocol.name}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        write_json(path, asdict(report))
         outputs.append(path)
         reports.append(report)
     table_path = os.path.join(out_dir, "report_table.txt")
@@ -256,8 +247,7 @@ def cmd_synth(
             model, ds, ds.group_masks["drivers"], ds.group_masks["responders"], indices=ds.split_indices("test")
         )
         oracle_path = os.path.join(out_dir, "oracle_report.json")
-        with open(oracle_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+        write_json(oracle_path, report)
         outputs.append(oracle_path)
     return outputs
 
@@ -385,8 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         blas = blas_threads()
         config = {}
         if args.config:
-            with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh, object_pairs_hook=unique_keys)
+            config = read_json(args.config)
         params = inspect.signature(handler, eval_str=True).parameters.values()
         config = _config_args({p.name: p for p in params if p.kind is p.KEYWORD_ONLY}, config)
         os.makedirs(args.out_dir, exist_ok=True)
@@ -402,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
             blas_threads=blas,
             predict_workers=workers,
         )
-        manifest.write(args.out_dir)
+        write_json(os.path.join(args.out_dir, "manifest.json"), asdict(manifest))
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,13 +10,12 @@ species column means the target is unavailable at that location.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import unique_keys
+from . import check_value, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -144,8 +143,7 @@ def load_dataset(path: str, config_path: str | None = None) -> Dataset:
     """
     sidecar = {}
     if config_path is not None:
-        with open(config_path, encoding="utf-8") as fh:
-            sidecar = json.load(fh, object_pairs_hook=unique_keys)
+        sidecar = read_json(config_path)
         if not isinstance(sidecar, dict) or set(sidecar) - {"species", "groups"}:
             raise SchemaError(f"{config_path}: a sidecar is a JSON object with only 'species' and 'groups' keys")
         groups = sidecar.get("groups", {})
@@ -282,8 +280,7 @@ def save_dataset(ds: Dataset, path: str, config_path: str | None = None) -> None
             "species": ds.species,
             "groups": {k: [s for s, m in zip(ds.species, v) if m] for k, v in ds.group_masks.items()},
         }
-        with open(config_path, "w", encoding="utf-8") as fh:
-            json.dump(config, fh, indent=2, sort_keys=True)
+        write_json(config_path, config)
 
 
 def merge_targets(ds: Dataset, approved: list[tuple[str, str]]) -> Dataset:
@@ -422,6 +419,14 @@ def filter_min_presences(ds: Dataset, min_count: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
+def check_arrays(obj, **dtypes) -> None:
+    """Check each named field of the dataclass `obj` as a flat list of its `dtype`
+    (`cisosdm.check_value`) and store it as a numpy array of that dtype."""
+    for name, dtype in dtypes.items():
+        values = np.asarray(getattr(obj, name)).tolist()
+        setattr(obj, name, np.array(check_value(f"{type(obj).__name__} '{name}'", values, list[dtype]), dtype=dtype))
+
+
 @dataclass
 class NormStats:
     """Per-variable mean/std fitted on the training split only.
@@ -440,28 +445,12 @@ class NormStats:
     def n_kept(self) -> int:
         return len(self.kept)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean": self.mean.tolist(),
-                "std": self.std.tolist(),
-                "kept": self.kept.tolist(),
-                "dropped": self.dropped.tolist(),
-                "imputed_any": self.imputed_any,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "NormStats":
-        d = json.loads(text)
-        return cls(
-            mean=np.asarray(d["mean"], dtype=float),
-            std=np.asarray(d["std"], dtype=float),
-            kept=np.asarray(d["kept"], dtype=int),
-            dropped=np.asarray(d["dropped"], dtype=int),
-            imputed_any=bool(d["imputed_any"]),
-        )
+    def __post_init__(self):
+        check_arrays(self, mean=float, std=float, kept=int, dropped=int)
+        self.imputed_any = check_value("NormStats 'imputed_any'", self.imputed_any, bool)
+        n = len(self.mean)
+        if len(self.std) != n or not set(self.kept) | set(self.dropped) <= set(range(n)):
+            raise ValueError(f"NormStats 'std' needs one item per 'mean' ({n}), 'kept' and 'dropped' indices below {n}")
 
 
 def fit_norm(train_env: np.ndarray) -> NormStats:

@@ -8,10 +8,12 @@ yields exactly 1161 features.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import check_value
+from .dataio import check_arrays
 
 DEFAULT_HINGE_KNOTS = 10
 DEFAULT_THRESHOLDS = 10
@@ -32,6 +34,14 @@ class MaxentConfig:
     n_hinge_knots: int
     n_thresholds: int
 
+    def __post_init__(self):
+        check_arrays(self, lo=float, hi=float, kept=int)
+        for name in ("n_hinge_knots", "n_thresholds"):
+            setattr(self, name, check_value(f"MaxentConfig '{name}'", getattr(self, name), int))
+        n = len(self.lo)
+        if len(self.hi) != n or not set(self.kept) <= set(range(n)):
+            raise ValueError(f"MaxentConfig 'hi' needs one item per 'lo' ({n}), 'kept' indices below {n}")
+
     def hinge_knots(self, v: int | np.ndarray) -> np.ndarray:
         lo, hi = self.lo[v], self.hi[v]
         k = np.arange(1, self.n_hinge_knots)
@@ -45,29 +55,6 @@ class MaxentConfig:
     @property
     def n_features(self) -> int:
         return feature_count(len(self.kept), self.n_hinge_knots, self.n_thresholds)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lo": self.lo.tolist(),
-                "hi": self.hi.tolist(),
-                "kept": self.kept.tolist(),
-                "n_hinge_knots": self.n_hinge_knots,
-                "n_thresholds": self.n_thresholds,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MaxentConfig":
-        d = json.loads(text)
-        return cls(
-            lo=np.asarray(d["lo"], dtype=float),
-            hi=np.asarray(d["hi"], dtype=float),
-            kept=np.asarray(d["kept"], dtype=int),
-            n_hinge_knots=int(d["n_hinge_knots"]),
-            n_thresholds=int(d["n_thresholds"]),
-        )
 
 
 def feature_count(d: int, n_hinge_knots: int = DEFAULT_HINGE_KNOTS, n_thresholds: int = DEFAULT_THRESHOLDS) -> int:

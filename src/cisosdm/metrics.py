@@ -7,8 +7,7 @@ toolkit's tables: AUC and top-k as percentages, MAE and MSE scaled by 100.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,9 +128,6 @@ class EvalReport:
     skipped_species: int = 0
     skipped_locations: int = 0
     n_locations: int = 0
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(asdict(self), indent=indent, sort_keys=True)
 
 
 def evaluate_matrix(

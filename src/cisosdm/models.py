@@ -10,15 +10,13 @@ the architecture is species-permutation equivariant by construction.
 
 from __future__ import annotations
 
-import json
 import os
-import struct
 from dataclasses import asdict, dataclass, field
 from typing import Literal
 
 import numpy as np
 
-from . import check_fields, ciso_threads, numerics as nm, unique_keys
+from . import check_fields, check_value, ciso_threads, numerics as nm, read_json, write_json
 from .dataio import NormStats
 from .encoding import MODES, EmbeddingTables, species_tokens
 from .features import MaxentConfig, expand
@@ -407,15 +405,15 @@ def save_checkpoint(tm: TrainedModel, path: str) -> None:
         "toolkit_version": __version__,
         "spec": asdict(tm.model.spec),
         "roster": tm.roster,
-        "norm": json.loads(tm.norm.to_json()),
-        "maxent": json.loads(tm.maxent_config.to_json()) if tm.maxent_config else None,
+        "norm": asdict(tm.norm),
+        "maxent": asdict(tm.maxent_config) if tm.maxent_config else None,
         "meta": tm.meta,
         "arrays": [{"name": n, "shape": list(v.shape)} for n, v in arrays],
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = write_json(None, header, None).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
         for _, v in arrays:
             fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
@@ -430,28 +428,33 @@ def load_checkpoint(path: str) -> TrainedModel:
     pos = len(CHECKPOINT_MAGIC)
     if data[:pos] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    if len(data) < pos + 8:
-        raise ValueError(f"{path}: truncated header")
-    (hlen,) = struct.unpack_from("<Q", data, pos)
+    hlen = int.from_bytes(data[pos : pos + 8], "little")
     pos += 8
-    try:
-        header = json.loads(data[pos : pos + hlen].decode("utf-8"), object_pairs_hook=unique_keys)
-    except ValueError as exc:  # covers UnicodeDecodeError, JSONDecodeError and a repeated key
-        raise ValueError(f"{path}: truncated or corrupt header ({exc})") from None
+    if pos + hlen > len(data):
+        raise ValueError(f"{path}: truncated header")
+    header = read_json(path, data[pos : pos + hlen])
     pos += hlen
     if not isinstance(header, dict) or not set(HEADER_KEYS) <= set(header):
         raise ValueError(f"{path}: the header must be a JSON object with keys {list(HEADER_KEYS)}")
     if header["format_version"] != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {header['format_version']}")
-    try:
-        spec = ModelSpec(**header["spec"])
-    except (TypeError, ValueError) as exc:  # not an object, an unknown or missing key, a bad value
-        raise ValueError(f"{path}: header 'spec': {exc}") from None
-    maxent = MaxentConfig.from_json(json.dumps(header["maxent"])) if header["maxent"] else None
+    parts = {}
+    for part, cls in (("spec", ModelSpec), ("norm", NormStats), ("maxent", MaxentConfig)):
+        try:  # not an object, an unknown or missing key, a bad value
+            parts[part] = None if part == "maxent" and header[part] is None else cls(**header[part])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: header '{part}': {exc}") from None
+    spec, norm, maxent = parts.values()
+    if norm.n_kept != spec.n_env:
+        raise ValueError(f"{path}: header 'norm' keeps {norm.n_kept} env variables, but 'spec' has n_env {spec.n_env}")
     model = build_model(spec, seed=0, maxent_config=maxent)
     loaded: list[str] = []
-    for entry in header["arrays"]:
-        name, shape = entry["name"], tuple(entry["shape"])
+    for entry in check_value(f"{path}: header 'arrays'", header["arrays"], list):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str) and "shape" in entry):
+            raise ValueError(f"{path}: header 'arrays': an entry must be an object with a string 'name' and a "
+                             f"'shape', got {entry!r}")
+        name = entry["name"]
+        shape = tuple(check_value(f"{path}: header 'arrays' entry '{name}': 'shape'", entry["shape"], list[int]))
         param = model.params.get(name)
         if param is None:
             raise ValueError(f"{path}: array '{name}' is not a parameter of this {spec.family} model")
@@ -472,8 +475,8 @@ def load_checkpoint(path: str) -> TrainedModel:
         raise ValueError(f"{path}: {len(data) - pos} trailing bytes after the last array '{loaded[-1]}'")
     return TrainedModel(
         model=model,
-        roster=list(header["roster"]),
-        norm=NormStats.from_json(json.dumps(header["norm"])),
+        roster=check_value(f"{path}: header 'roster'", header["roster"], list[str]),
+        norm=norm,
         maxent_config=maxent,
         meta=header.get("meta", {}),
     )

@@ -273,6 +273,8 @@ def _predict(tm: TrainedModel, ds: Dataset, rows: np.ndarray, condition: np.ndar
     boolean `condition` mask revealed at their true states wherever available."""
     if list(ds.species) != list(tm.roster):
         raise ValueError("dataset roster does not match the checkpoint roster")
+    if ds.n_env != len(tm.norm.mean):
+        raise ValueError(f"the dataset has {ds.n_env} env variables, the checkpoint was fitted on {len(tm.norm.mean)}")
     spec = tm.model.spec
     codes = rates = None
     if condition.any():

@@ -467,7 +467,12 @@ class TestErrors:
         first_id = rows[0].split(",")[0]
         other = tmp_path / "other.csv"  # the same sites under other record ids, for colocate
         other.write_text("\n".join([header] + [f"b_{row}" for row in rows]) + "\n")
-        # (command, config, fragments the error message must contain)
+        narrow = tmp_path / "narrow.csv"  # the same records without env_3 and env_4
+        keep = [i for i, name in enumerate(header.split(",")) if name not in ("env_3", "env_4")]
+        narrow.write_text("\n".join(",".join(line.split(",")[i] for i in keep) for line in [header, *rows]) + "\n")
+        twice = tmp_path / "twice.json"
+        twice.write_text('{"groups": {}, "groups": {"drivers": ["species_00"]}}', encoding="utf-8")
+        # (command, config, fragments the error message must contain; "<config>" is the config's path)
         cases = [
             ("train", {"dataset": str(tmp_path / "missing.csv")}, ["missing.csv"]),
             ("train", {"dataset": dataset, "train": {"epoch": 1}}, ["'train'", "epoch"]),
@@ -570,6 +575,11 @@ class TestErrors:
              ["repeats keys ['n_species']"]),
             ("train", f'{{"dataset": {json.dumps(dataset)}, "train": {{"lr": 0.1, "lr": 0.2}}}}',
              ["repeats keys ['lr']"]),
+            # A JSON error names the file it is in.
+            ("synth", '{"n_species": 3,, "n_env": 2}', ["<config>", "Expecting property name"]),
+            ("train", {"dataset": dataset, "dataset_config": str(twice)}, [str(twice), "repeats keys ['groups']"]),
+            # A checkpoint scores only datasets with the env variables it was fitted on.
+            ("eval", {**scored, "dataset": str(narrow)}, ["dataset has 3 env variables", "fitted on 5"]),
         ]
         for k, (command, config, fragments) in enumerate(cases):
             cfg = tmp_path / f"bad{k}.json"
@@ -579,7 +589,7 @@ class TestErrors:
             assert rc == 2, (command, config)
             assert err.startswith("error:"), err
             for fragment in fragments:
-                assert fragment in err, (fragment, err)
+                assert fragment.replace("<config>", str(cfg)) in err, (fragment, err)
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_thread_setting_exits_2_on_every_command(self, monkeypatch, tmp_path, capsys, value):
@@ -620,6 +630,17 @@ class TestErrors:
         for name, tree in _src_modules(but="__init__.py"):
             lines = [node.lineno for node in ast.walk(tree) if _names(node) & banned]
             assert not lines, f"{name} uses {sorted(banned)} at lines {lines}; call cisosdm.check_value"
+
+    def test_src_parses_json_only_in_read_json(self):
+        # One reader, `cisosdm.read_json`, names the file in every syntax or repeated-key error.
+        for name, tree in _src_modules(but="__init__.py"):
+            lines = [
+                node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in ("load", "loads") and _names(node.value) & {"json"}
+                or isinstance(node, ast.ImportFrom) and node.module == "json"
+            ]
+            assert not lines, f"{name} parses JSON at lines {lines}; call cisosdm.read_json"
 
     def test_cli_reads_config_keys_only_through_signatures(self):
         # Each command declares its config keys as keyword-only parameters and

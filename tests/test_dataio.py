@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cisosdm import dataio
+from cisosdm import dataio, read_json, write_json
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -388,11 +389,16 @@ class TestNorm:
         assert np.isfinite(out).all()
         assert out[1, 0] == pytest.approx(0.0)
 
-    def test_json_roundtrip(self):
-        stats = dataio.fit_norm(np.array([[0.0, 1.0], [2.0, 1.0]]))
-        back = dataio.NormStats.from_json(stats.to_json())
-        assert np.array_equal(back.kept, stats.kept)
-        assert np.array_equal(back.mean, stats.mean)
+    def test_json_roundtrip(self, tmp_path):
+        # The second fit drops no variable: its empty `dropped` must come back as an int array.
+        for env in ([[0.0, 1.0], [2.0, 1.0]], [[0.0, 1.0], [2.0, 3.0]]):
+            stats = dataio.fit_norm(np.array(env))
+            write_json(str(tmp_path / "norm.json"), asdict(stats), None)
+            back = dataio.NormStats(**read_json(str(tmp_path / "norm.json")))
+            assert np.array_equal(back.kept, stats.kept)
+            assert np.array_equal(back.mean, stats.mean)
+            assert back.kept.dtype == back.dropped.dtype == int and back.mean.dtype == back.std.dtype == float
+        assert back.dropped.size == 0
 
 
 @given(st.integers(0, 1000))

@@ -1,8 +1,10 @@
+from dataclasses import asdict
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cisosdm import features
+from cisosdm import features, read_json, write_json
 
 
 def scalar_expand(x, cfg):
@@ -61,9 +63,10 @@ class TestFit:
         assert list(cfg.kept) == [0]
         assert cfg.n_features == features.feature_count(1)
 
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
         cfg = unit_config(3)
-        back = features.MaxentConfig.from_json(cfg.to_json())
+        write_json(str(tmp_path / "maxent.json"), asdict(cfg))
+        back = features.MaxentConfig(**read_json(str(tmp_path / "maxent.json")))
         assert np.array_equal(back.kept, cfg.kept)
         assert back.n_features == cfg.n_features
 

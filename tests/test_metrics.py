@@ -1,11 +1,11 @@
-import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cisosdm import metrics
+from cisosdm import metrics, read_json, write_json
 
 
 def auc_pair_counting(scores, labels):
@@ -225,7 +225,7 @@ class TestTopN:
 
 
 class TestEvalReport:
-    def test_aggregates_recomputable_and_json_roundtrip(self):
+    def test_aggregates_recomputable_and_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(7)
         pred = rng.random((20, 12))
         truth = rng.choice([0.0, 0.1, 0.6], size=(20, 12))
@@ -235,9 +235,10 @@ class TestEvalReport:
         report = metrics.evaluate_matrix(pred, truth, available, target, species, "proto", "rates")
         assert report.aggregates["mae_x100"] == pytest.approx(metrics.mae(pred, truth, available) * 100)
         assert 0 <= report.aggregates["topk_pct"] <= 100
-        back = json.loads(report.to_json())
-        assert back["aggregates"] == report.aggregates
-        assert back["per_species"] == report.per_species
+        write_json(str(tmp_path / "report.json"), asdict(report))
+        back = metrics.EvalReport(**read_json(str(tmp_path / "report.json")))
+        assert back.aggregates == report.aggregates
+        assert back.per_species == report.per_species
 
     def test_binary_report_uses_auc(self):
         rng = np.random.default_rng(8)

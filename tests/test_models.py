@@ -574,6 +574,21 @@ class TestCheckpoint:
             (lambda h: json.dumps({**h, "spec": {**h["spec"], "depth": 3}}), ["header 'spec'", "'depth'"]),
             (lambda h: json.dumps({**h, "spec": {**h["spec"], "encoding": "bogus"}}), ["header 'spec'", "'bogus'"]),
             (lambda h: json.dumps(h)[:-1] + ', "roster": ["x"]}', ["repeats keys ['roster']"]),
+            # norm, maxent and each arrays entry are checked as declared objects.
+            (lambda h: json.dumps({**h, "norm": {k: v for k, v in h["norm"].items() if k != "mean"}}),
+             ["header 'norm'", "'mean'"]),
+            (lambda h: json.dumps({**h, "norm": {**h["norm"], "mean": "abc"}}), ["header 'norm'", "'mean'", "'abc'"]),
+            (lambda h: json.dumps({**h, "norm": {**h["norm"], "std": h["norm"]["std"][1:]}}),
+             ["header 'norm'", "'std'"]),
+            (lambda h: json.dumps({**h, "norm": {**h["norm"], "kept": h["norm"]["kept"][1:]}}),
+             ["header 'norm'", "n_env"]),
+            (lambda h: json.dumps({**h, "maxent": {"lo": [0.0]}}), ["header 'maxent'", "'hi'"]),
+            (lambda h: json.dumps({**h, "maxent": {"lo": [0.0], "hi": [1.0], "kept": [1], "n_hinge_knots": 10,
+                                                   "n_thresholds": 10}}), ["header 'maxent'", "'kept'"]),
+            (lambda h: json.dumps({**h, "arrays": [list(e.values()) for e in h["arrays"]]}),
+             ["header 'arrays'", "'name'", "'shape'"]),
+            (lambda h: json.dumps({**h, "arrays": [{"name": e["name"]} for e in h["arrays"]]}),
+             ["header 'arrays'", "'shape'"]),
         ],
     )
     def test_malformed_header_rejected(self, tmp_path, rewrite, fragments):
