@@ -24,9 +24,18 @@ from .numerics import Tensor
 
 FAMILIES = ("linear", "maxent", "mlp", "mlp++", "ciso")
 
-# Activation bytes one predict batch may hold. CISO's sequence has L = C + 1
-# tokens, so its attention arrays grow as rows x heads x L^2 and its batches
-# shrink as the roster widens; the other families always get MAX_PREDICT_ROWS.
+# A CISO piece (a predict batch or a training micro-batch) takes as many rows
+# as keep its largest per-op array, the (heads, L, L) scores or the (L, 4d)
+# feed-forward activations, within a per-core L2 cache, so that the dozen
+# elementwise passes per block stream from cache, not DRAM. On 2 vCPUs (d =
+# 64, 4 heads, 3 blocks, 2 threads) predict ran 361 rows/s at 6 rows per batch
+# and C = 100 against 264 at the 25 rows of a 128 MiB batch budget, and 3107
+# against 3004 at 93 and 349 rows and C = 10. A constant, not read from the
+# machine: it sets the micro-batch count, so the checkpoint bytes.
+CACHE_BYTES = 2 * 2**20
+# Activation bytes the ciso predict batches in flight may hold together, one
+# row estimated by row_bytes(spec): at C = 3951, d = 256 one row exceeds it,
+# so one batch of one row runs at a time.
 PREDICT_BUDGET_BYTES = 128 * 2**20
 MAX_PREDICT_ROWS = 1024
 
@@ -72,19 +81,25 @@ class ModelSpec:
         return self.family in ("mlp++", "ciso")
 
 
-def predict_batch_rows(spec: ModelSpec) -> int:
-    """Rows per predict batch: as many as fit PREDICT_BUDGET_BYTES, within [1, MAX_PREDICT_ROWS]."""
-    if spec.family != "ciso":
-        return MAX_PREDICT_ROWS
+def row_bytes(spec: ModelSpec) -> int:
+    """Bytes one row of a CISO inference forward holds at once: the float64
+    arrays alive in one transformer block, namely the score/softmax
+    temporaries, q/k/v and the merged heads, and the feed-forward's GELU
+    temporaries. It bounds the tracemalloc peak of a forward pass per row
+    from above (C = 10..300, d = 64..256) with room to spare: head splits are
+    views and softmax, layer norm and GELU work in place, so the measured
+    peak is 0.55-0.96 of it."""
     length, d, heads = spec.n_species + 1, spec.hidden_dim, spec.heads
-    # float64 arrays alive at once in one transformer block's inference
-    # forward: the score/softmax temporaries, q/k/v and the merged heads,
-    # and the feed-forward's GELU temporaries. It bounds the tracemalloc peak
-    # of a forward pass per row from above (C = 10..300, d = 64..256) with
-    # room to spare: head splits are views and softmax, layer norm and GELU
-    # work in place, so the measured peak is 0.55-0.96 of it.
-    row_bytes = 8 * (3 * heads * length**2 + 4 * length * heads * d + 4 * length * 4 * d)
-    return max(1, min(MAX_PREDICT_ROWS, PREDICT_BUDGET_BYTES // row_bytes))
+    return 8 * (3 * heads * length**2 + 4 * length * heads * d + 4 * length * 4 * d)
+
+
+def piece_rows(spec: ModelSpec) -> int:
+    """Rows of a CISO piece, a predict batch or a training micro-batch: as
+    many as keep its largest per-op float64 array within CACHE_BYTES, within
+    [1, MAX_PREDICT_ROWS]."""
+    length = spec.n_species + 1
+    largest = 8 * max(spec.heads * length**2, 4 * spec.hidden_dim * length)
+    return max(1, min(MAX_PREDICT_ROWS, CACHE_BYTES // largest))
 
 
 def predict_workers() -> int:
@@ -142,16 +157,21 @@ class Model:
         """Batched inference that records nothing on any tape; returns a (N, C)
         numpy matrix, (0, C) for no rows.
 
-        A batch holds at most `batch_size` rows and a 1/W share of the
-        :func:`predict_batch_rows` budget (W: :func:`predict_workers`). The
-        batches run through `numerics.run_split` on at most W threads and at
-        most as many as the budget has rows, so the batches in flight stay
-        within it."""
+        The batches run through `numerics.run_split` on at most W threads
+        (:func:`predict_workers`), and a batch holds at most `batch_size`
+        rows. A ciso batch holds at most :func:`piece_rows`, and batches and
+        threads shrink so that the rows in flight stay within
+        PREDICT_BUDGET_BYTES by :func:`row_bytes`. The other families split
+        MAX_PREDICT_ROWS rows in flight across the W threads."""
         n = env.shape[0]
         out = np.empty((n, self.spec.n_species))
         workers = predict_workers()
-        budget = predict_batch_rows(self.spec)
-        rows = min(batch_size, max(1, budget // workers))
+        if self.spec.family == "ciso":
+            flight = max(1, PREDICT_BUDGET_BYTES // row_bytes(self.spec))
+            rows = min(batch_size, piece_rows(self.spec), flight)
+            workers = min(workers, flight // rows)
+        else:
+            rows = min(batch_size, max(1, MAX_PREDICT_ROWS // workers))
 
         def run(batch: int) -> None:
             sl = slice(batch * rows, (batch + 1) * rows)
@@ -160,7 +180,7 @@ class Model:
             out[sl] = self.forward(env[sl], c, r).values
 
         with nm.tape_suspended():
-            nm.run_split(-(-n // rows), min(workers, budget), run)
+            nm.run_split(-(-n // rows), workers, run)
         return out
 
 

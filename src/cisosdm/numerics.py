@@ -20,9 +20,9 @@ outside a tape every op is a plain numpy computation, which is how inference
 runs; gradients live only in the maps `backward` returns and `AdamW.step`
 consumes. All math is float64 so that finite-difference checks stay tight.
 The module also reads and holds the BLAS thread count (`blas_threads`,
-`one_blas_thread`), which is process-wide, returns free C heap pages to the
-OS (`release_free_memory`), and runs the package's one thread fan-out
-(`run_split`), which `Model.predict` and the training step share.
+`one_blas_thread`), which is process-wide, and runs the package's one
+thread fan-out (`run_split`), which `Model.predict` and the training step
+share.
 """
 
 from __future__ import annotations
@@ -638,26 +638,6 @@ def blas_threads() -> int | None:
     """The BLAS thread count in effect, or None when no BLAS setter is found."""
     blas = _blas()
     return None if blas is None else blas[1]()
-
-
-@cache
-def _malloc_trim():
-    """glibc's `malloc_trim`, or None where the C library has none."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError):
-        return None
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return trim
-
-
-def release_free_memory() -> None:
-    """Return the free pages of every malloc arena to the OS, where the C
-    library can. An arena outlives the thread that used it, and keeps the
-    pages that thread freed until another thread allocates from it."""
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
 
 
 _blas_lock = threading.Lock()

@@ -24,7 +24,7 @@ from .dataio import SPLIT_TAGS, Dataset, apply_norm, fit_norm
 from .encoding import assign_states
 from .features import fit_maxent
 from .metrics import EvalReport, evaluate_matrix, macro_auc, topk_adaptive
-from .models import ModelSpec, TrainedModel, build_model, predict_workers
+from .models import ModelSpec, TrainedModel, build_model, piece_rows, predict_workers
 
 log = logging.getLogger(__name__)
 
@@ -98,15 +98,17 @@ def _rng(seed: int, stage: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage,)))
 
 
-# Micro-batches per training step, by family; the rest take one. A CISO step
-# at C = 10 is small GEMMs plus single-threaded GELU, softmax and layer norm,
-# so BLAS leaves a second core idle: on 2 vCPUs, two half-batches on two
-# threads with one BLAS thread take 64 ms per B = 64 step against 87 ms
-# serially, and four take 80 ms, because per-op overhead outweighs the
-# smaller arrays. Maxent and mlp++ GEMMs already use both cores through BLAS;
-# split the same way, their epochs got slower (0.61 -> 0.97 s and
-# 2.4 -> 3.0 s at survey-join size). M does not depend on the thread count,
-# so neither do the trained parameters.
+# Fewest micro-batches per training step, by family; the rest take one. A
+# CISO step at C = 10 is small GEMMs plus single-threaded GELU, softmax and
+# layer norm, so BLAS leaves a second core idle: on 2 vCPUs (d = 64, 3
+# blocks, B = 64) a step's micro-batches took 79 ms as one, 52 ms as two on
+# two threads and 61 ms as four. Maxent and mlp++ GEMMs already use both
+# cores through BLAS; split the same way, their epochs got slower (0.61 ->
+# 0.97 s and 2.4 -> 3.0 s at survey-join size). A ciso step also takes
+# enough micro-batches that each fits `models.piece_rows`: at C = 100 and
+# B = 32 that is 6, at 290 ms per step against 366 ms as two. M depends on
+# the spec and the batch size only, not on the thread count, so neither do
+# the trained parameters.
 MICRO_BATCHES = {"ciso": 2}
 
 
@@ -170,6 +172,8 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
     history: list[dict] = []
     best: tuple[float, int, dict[str, np.ndarray]] | None = None
     micro = MICRO_BATCHES.get(spec.family, 1)
+    if spec.family == "ciso":
+        micro = max(micro, -(-config.batch_size // piece_rows(spec)))
     workers = predict_workers()
 
     for epoch in range(config.epochs):
@@ -195,12 +199,6 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
             # Summed in micro-batch order, not in the order threads finish.
             optimizer.step([grads for _, grads in results])
             losses.append(value)
-        if micro > 1:
-            # The worker's malloc arena still holds the pages its
-            # micro-batches freed; `predict` on this thread cannot use them.
-            # (ciso-pipeline peak RSS on 2 vCPUs: 212.6 MB without this,
-            # 181.1 MB with it, 177.9 MB unsplit.)
-            nm.release_free_memory()
 
         val_pred = model.predict(env_n[val_idx])
         metric_uncond = _selection_metric(val_pred, ds.targets[val_idx], ds.available[val_idx], target_mask, binary)

@@ -451,6 +451,7 @@ class TestErrors:
     def test_unknown_subcommand_usage_and_nonzero_exit(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cisosdm.cli", "frobnicate", "--out-dir", "/tmp/x"],
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cisosdm.__file__))),
             capture_output=True,
             text=True,
         )

@@ -5,6 +5,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import weakref
 from dataclasses import asdict
 
@@ -251,7 +252,7 @@ class TestCISO:
 class TestPredictBudget:
     def test_budget_batches_match_single_rows(self):
         spec = toy_spec("ciso", n_species=40, hidden_dim=64, heads=4, transformer_layers=1)
-        rows = models.predict_batch_rows(spec)
+        rows = models.piece_rows(spec)
         m = models.build_model(spec, seed=12)
         env, _, _, _, codes, rates = toy_batch(seed=13, n=rows + 5, n_species=40)
         batched = m.predict(env, codes, rates)
@@ -261,14 +262,29 @@ class TestPredictBudget:
 
     def test_rows_follow_roster_width(self):
         def ciso(c, d):
-            return models.predict_batch_rows(models.ModelSpec(family="ciso", n_species=c, n_env=5, hidden_dim=d))
+            return models.ModelSpec(family="ciso", n_species=c, n_env=5, hidden_dim=d)
 
-        assert ciso(10, 64) >= 312
-        assert 32 <= ciso(100, 64) <= 64
-        assert ciso(3951, 256) >= 1
-        for family in ("linear", "maxent", "mlp", "mlp++"):
-            spec = models.ModelSpec(family=family, n_species=3951, n_env=5)
-            assert models.predict_batch_rows(spec) == models.MAX_PREDICT_ROWS == 1024
+        # The largest per-op array of a piece fits CACHE_BYTES: the (L, 4d)
+        # feed-forward activations at C = 10, the (heads, L, L) scores beyond.
+        assert [models.piece_rows(ciso(c, 64)) for c in (10, 45, 100, 300)] == [93, 22, 6, 1]
+        assert models.piece_rows(ciso(3951, 256)) == 1
+        assert models.row_bytes(ciso(3951, 256)) > models.PREDICT_BUDGET_BYTES  # so one row in flight
+
+    def test_batch_peak_within_the_memory_caps_estimate(self, monkeypatch):
+        # tracemalloc sees numpy's allocations; BLAS's own buffers are not activations.
+        spec = toy_spec("ciso", n_species=100, hidden_dim=64, heads=4, transformer_layers=3)
+        m = models.build_model(spec, seed=17)
+        rows = models.piece_rows(spec)
+        env, _, _, _, codes, rates = toy_batch(seed=18, n=rows, n_species=100)
+        monkeypatch.setenv("CISO_THREADS", "1")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            m.predict(env, codes, rates)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= models.row_bytes(spec) * rows
 
     def test_concurrent_predict_records_nothing_on_training_tape(self):
         m = models.build_model(toy_spec("ciso", dropout=0.1), seed=14)
@@ -322,36 +338,36 @@ class TestParallelPredict:
             rows = [m.forward(env[i : i + 1], codes[i : i + 1], rates[i : i + 1]).values[0] for i in range(n)]
         assert np.abs(preds[0] - np.reshape(rows, preds[0].shape)).max(initial=0.0) <= 1e-12
 
-    def test_workers_split_the_budget_and_hold_blas_for_several_batches(self, monkeypatch):
-        spec = toy_spec("ciso", n_species=40, hidden_dim=64, heads=4, transformer_layers=1)
-        budget = models.predict_batch_rows(spec)
-        m = models.build_model(spec, seed=32)
-        env, _, _, _, codes, rates = toy_batch(seed=33, n=budget + 5, n_species=40)
-        seen = []
-        forward = m.forward
-
-        def recording_forward(env, codes=None, rates=None, **kw):
-            seen.append((env.shape[0], nm.blas_threads()))
-            return forward(env, codes, rates, **kw)
-
-        monkeypatch.setattr(m, "forward", recording_forward)
+    def test_batches_cover_rows_and_hold_blas_for_several_batches(self, monkeypatch):
         monkeypatch.setenv("CISO_THREADS", "3")
-        workers = models.predict_workers()
         before = nm.blas_threads()
-        m.predict(env, codes, rates)
-        assert sum(rows for rows, _ in seen) == env.shape[0]
-        assert max(rows for rows, _ in seen) == max(1, budget // workers)
-        assert {threads for _, threads in seen} == {None if before is None else 1}
-        seen.clear()
-        m.predict(env[:3], codes[:3], rates[:3])  # one batch keeps BLAS's threads
-        assert seen == [(3, before)]
+        for family in ("ciso", "mlp++"):
+            spec = toy_spec(family, n_species=40, hidden_dim=64, heads=4, transformer_layers=1)
+            # A ciso batch's rows do not depend on W; the other families split 1024 rows across W = 3.
+            rows = models.piece_rows(spec) if family == "ciso" else models.MAX_PREDICT_ROWS // 3
+            m = models.build_model(spec, seed=32)
+            env, _, _, _, codes, rates = toy_batch(seed=33, n=2 * rows + 5, n_species=40)
+            seen = []
+            forward = m.forward
+
+            def recording_forward(env, codes=None, rates=None, **kw):
+                seen.append((env.shape[0], nm.blas_threads()))
+                return forward(env, codes, rates, **kw)
+
+            monkeypatch.setattr(m, "forward", recording_forward)
+            m.predict(env, codes, rates)
+            assert sorted(n for n, _ in seen) == [5, rows, rows]
+            assert {threads for _, threads in seen} == {None if before is None else 1}
+            seen.clear()
+            m.predict(env[:3], codes[:3], rates[:3])  # one batch keeps BLAS's threads
+            assert seen == [(3, before)]
 
     def test_budget_below_workers_runs_one_batch_at_a_time(self, monkeypatch):
         # A budget of one row keeps one row in flight, not one per worker.
         monkeypatch.setattr(models, "PREDICT_BUDGET_BYTES", 1)
         m = models.build_model(toy_spec("ciso"), seed=39)
         env, _, _, _, codes, rates = toy_batch(seed=40, n=7)
-        assert models.predict_batch_rows(m.spec) == 1
+        assert models.piece_rows(m.spec) > 1  # the cap, not the piece rule, makes the batches one row
         monkeypatch.setenv("CISO_THREADS", "1")
         expected = m.predict(env, codes, rates)
         lock = threading.Lock()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from cisosdm import cli, synth, training
+from cisosdm import cli, models, synth, training
 from cisosdm import numerics as nm
 from cisosdm.dataio import assign_split, save_dataset
 from cisosdm.encoding import assign_states
@@ -159,6 +159,28 @@ class TestTrainLoop:
         assert threads == {True, False}
         assert nm.blas_threads() == before_blas
         assert threading.active_count() == before_threads
+
+    def test_checkpoint_bytes_do_not_depend_on_threads_over_several_pieces(self, monkeypatch, tmp_path):
+        # At C = 45, d = 64 and 4 heads a piece holds 22 rows, so a 64-row step runs as 3 micro-batches.
+        ds = assign_split(synth.generate(synth.SynthSpec(n_species=45, n_env=3, n_locations=160, seed=5)), seed=5)
+        spec = tiny_spec(n_species=45, hidden_dim=64, heads=4)
+        assert models.piece_rows(spec) == 22
+        pieces = []
+        run_split = nm.run_split
+
+        def recording_run_split(n, workers, task):
+            pieces.append(n)
+            return run_split(n, workers, task)
+
+        monkeypatch.setattr(nm, "run_split", recording_run_split)
+        blobs = set()
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("CISO_THREADS", threads)
+            tm, _ = training.train(ds, spec, tiny_config(epochs=1, batch_size=64))
+            save_checkpoint(tm, str(tmp_path / "ckpt"))
+            blobs.add((tmp_path / "ckpt").read_bytes())
+        assert pieces[0] == 3
+        assert len(blobs) == 1
 
     def test_empty_validation_split_falls_back_to_last_epoch(self):
         from cisosdm.dataio import assign_split
