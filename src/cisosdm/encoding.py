@@ -92,7 +92,7 @@ class StateEmbeddingTable:
             return nm.gather_rows(rows, codes)
 
         lookup = nm.gather_rows(rows, np.minimum(codes, STATE_ABSENT))
-        positive = (codes >= 2).astype(float)[..., None]
+        positive = (codes >= 2).astype(rows.values.dtype)[..., None]
         r = nm.Tensor(rates[..., None])
         if self.mode == "linear":
             value = nm.add(nm.mul(self.params["state_w"], r), self.params["state_b0"])

@@ -82,21 +82,24 @@ class ModelSpec:
 
 
 def row_bytes(spec: ModelSpec) -> int:
-    """Bytes one row of a CISO inference forward holds at once: the float64
-    arrays alive in one transformer block, namely the score/softmax
-    temporaries, q/k/v and the merged heads, and the feed-forward's GELU
-    temporaries. It bounds the tracemalloc peak of a forward pass per row
-    from above (C = 10..300, d = 64..256) with room to spare: head splits are
-    views and softmax, layer norm and GELU work in place, so the measured
-    peak is 0.55-0.96 of it."""
+    """Bytes one row of a CISO inference forward, which runs in float64,
+    holds at once: the arrays alive in one transformer block, namely the
+    score/softmax temporaries, q/k/v and the merged heads, and the
+    feed-forward's GELU temporaries. It bounds the tracemalloc peak of a
+    forward pass per row from above (C = 10..300, d = 64..256) with room to
+    spare: head splits are views and softmax, layer norm and GELU work in
+    place, so the measured peak is 0.55-0.96 of it."""
     length, d, heads = spec.n_species + 1, spec.hidden_dim, spec.heads
     return 8 * (3 * heads * length**2 + 4 * length * heads * d + 4 * length * 4 * d)
 
 
 def piece_rows(spec: ModelSpec) -> int:
     """Rows of a CISO piece, a predict batch or a training micro-batch: as
-    many as keep its largest per-op float64 array within CACHE_BYTES, within
-    [1, MAX_PREDICT_ROWS]."""
+    many as keep its largest per-op array, counted at 8 bytes an entry,
+    within CACHE_BYTES, within [1, MAX_PREDICT_ROWS]. Predict runs in
+    float64; a training micro-batch runs in float32 and so fills half the
+    cache, but is sized alike, which keeps the micro-batch count and the
+    checkpoint bytes of the float64 sizing."""
     length = spec.n_species + 1
     largest = 8 * max(spec.heads * length**2, 4 * spec.hidden_dim * length)
     return max(1, min(MAX_PREDICT_ROWS, CACHE_BYTES // largest))
@@ -370,7 +373,7 @@ class CISOModel(Model):
         if codes is None:
             codes = np.zeros((batch, c), dtype=np.int64)
         if rates is None:
-            rates = np.zeros((batch, c))
+            rates = np.zeros((batch, c), self.tables.species.values.dtype)
         z = _run_trunk(self.trunk, Tensor(env))
         z = nm.reshape(z, (batch, 1, self.spec.hidden_dim))
         tokens = species_tokens(self.tables, codes, rates)

@@ -1,7 +1,7 @@
-"""Minimal float64 tensor library with a reverse-mode tape, AdamW, and masked BCE.
+"""Minimal float64/float32 tensor library with a reverse-mode tape, AdamW, and masked BCE.
 
-Tensors wrap float64 numpy arrays, which may be views: a `Tensor` built from
-a float64 array shares its memory, and `reshape`, `transpose` and
+Tensors wrap float64 or float32 numpy arrays, which may be views: a `Tensor`
+built from such an array shares its memory, and `reshape`, `transpose` and
 `slice_axis` return views of their input where numpy can, so a head split or
 a `k` transpose copies nothing. Ownership rule: a kernel writes only into
 arrays it allocated itself, never into an input's ``.values`` nor into the
@@ -18,7 +18,19 @@ The module-level functions are the surface: `Tensor` defines no arithmetic
 operators. Gradient recording happens on an explicitly scoped :class:`Tape`;
 outside a tape every op is a plain numpy computation, which is how inference
 runs; gradients live only in the maps `backward` returns and `AdamW.step`
-consumes. All math is float64 so that finite-difference checks stay tight.
+consumes.
+
+Dtype rule: every op computes in its operands' dtype, so a graph built from
+float32 tensors runs in float32 and one built from float64 tensors in
+float64, bit for bit as a float64-only library would. A number operand of
+`add` or `mul` and every buffer a kernel allocates take the dtype of the
+tensor they serve. The one exception is `bce_masked`, which computes its
+loss in float64 (float32 cannot hold 1 - CLAMP_EPS) and returns its gradient
+in the prediction's dtype. Inference and the finite-difference checks run in
+float64; a CISO training step runs its forward and backward in float32 on
+float32 copies of the parameters, and `AdamW` keeps its moments and the
+parameters themselves in float64.
+
 The module also reads and holds the BLAS thread count (`blas_threads`,
 `one_blas_thread`), which is process-wide, and runs the package's one
 thread fan-out (`run_split`), which `Model.predict` and the training step
@@ -32,7 +44,7 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from functools import cache, reduce
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,17 +57,20 @@ CLAMP_EPS = 1e-12
 # Added to the variance before layer norm's inverse square root.
 LAYER_NORM_EPS = 1e-5
 
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# A Python float, so that it takes the dtype of the array it scales.
+_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
 class Tensor:
-    """Dense float64 array; `node` is the tape entry that produced it, or None
+    """Dense float32 or float64 array: float32 values stay float32, anything
+    else becomes float64. `node` is the tape entry that produced it, or None
     for a leaf or a constant. Its gradient lives in :func:`backward`'s map."""
 
     __slots__ = ("values", "requires_grad", "name", "node", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
-        self.values = np.asarray(values, dtype=DTYPE)
+        values = np.asarray(values)
+        self.values = values if values.dtype == np.float32 else values.astype(DTYPE, copy=False)
         self.requires_grad = bool(requires_grad)
         self.name = name
         self.node: _Entry | None = None
@@ -78,6 +93,16 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """`a` and `b` as tensors; a number (anything 0-d that is not a Tensor)
+    takes the dtype of the other operand when that one is a Tensor."""
+    if isinstance(b, Tensor) and not isinstance(a, Tensor) and np.ndim(a) == 0:
+        a = Tensor(np.asarray(a, dtype=b.values.dtype))
+    if isinstance(a, Tensor) and not isinstance(b, Tensor) and np.ndim(b) == 0:
+        b = Tensor(np.asarray(b, dtype=a.values.dtype))
+    return as_tensor(a), as_tensor(b)
 
 
 class _Entry:
@@ -274,7 +299,7 @@ def _linear(a: Tensor, w: Tensor, bias: Tensor | None) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.values + b.values)
     a_shape = a.shape if a.requires_grad else None
     b_shape = b.shape if b.requires_grad else None
@@ -289,7 +314,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.values * b.values)
 
     def bwd(g):
@@ -397,7 +422,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate <= 0.0:
         return x
     x = as_tensor(x)
-    buf = rng.random(x.shape)
+    buf = rng.random(x.shape, dtype=x.values.dtype)
     keep = buf >= rate
     scale = 1.0 / (1.0 - rate)
     np.multiply(x.values, keep, out=buf)
@@ -485,10 +510,10 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
     out = Tensor(x.values[idx])
-    shape = x.shape
+    shape, dtype = x.shape, x.values.dtype
 
     def bwd(g):
-        full = np.zeros(shape)
+        full = np.zeros(shape, dtype)
         full[idx] = g
         return (full,)
 
@@ -500,10 +525,10 @@ def gather_rows(table: Tensor, index: np.ndarray) -> Tensor:
     table = as_tensor(table)
     index = np.asarray(index)
     out = Tensor(table.values[index])
-    shape = table.shape
+    shape, dtype = table.shape, table.values.dtype
 
     def bwd(g):
-        gt = np.zeros(shape)
+        gt = np.zeros(shape, dtype)
         np.add.at(gt, index, g)
         return (gt,)
 
@@ -539,23 +564,25 @@ def bce_masked(pred: Tensor, target, loss_mask) -> Tensor:
 
     `pred` is (B, C) in (0, 1); entries where `loss_mask` is false contribute
     nothing and receive exactly zero gradient. A row with an all-false mask
-    contributes zero loss.
+    contributes zero loss. The loss is float64 whatever the dtype of `pred`,
+    as float32 rounds 1 - CLAMP_EPS to 1; the gradient takes `pred`'s dtype.
     """
     pred = as_tensor(pred)
+    x = np.asarray(pred.values, dtype=DTYPE)
     y = np.asarray(target, dtype=DTYPE)
     mask = np.asarray(loss_mask, dtype=bool)
     if pred.shape != y.shape or pred.shape != mask.shape:
         raise ValueError(f"bce_masked shape mismatch: pred {pred.shape}, target {y.shape}, mask {mask.shape}")
-    p = np.clip(pred.values, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    p = np.clip(x, CLAMP_EPS, 1.0 - CLAMP_EPS)
     rows = pred.shape[0] if pred.values.ndim > 1 else 1
     term = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
     total = np.where(mask, term, 0.0).sum() / rows
     out = Tensor(total)
 
     def bwd(g):
-        inside = (pred.values > CLAMP_EPS) & (pred.values < 1.0 - CLAMP_EPS)
+        inside = (x > CLAMP_EPS) & (x < 1.0 - CLAMP_EPS)
         gp = np.where(mask & inside, (p - y) / (p * (1.0 - p)), 0.0) * (g / rows)
-        return (gp,)
+        return (gp.astype(pred.values.dtype, copy=False),)
 
     return _record(out, (pred,), bwd)
 
@@ -583,15 +610,21 @@ class AdamW:
 
     def step(self, grads: Sequence[dict[Tensor, np.ndarray]]) -> None:
         """One update from :func:`backward`'s maps. A parameter's gradient is
-        its entries summed in map order (``g0 + g1``), each popped as it is
-        read, so maps the caller still holds keep no gradient alive. A
-        parameter in no map keeps its values and moments."""
+        its entries, each upcast to float64, summed in map order (``g0 +
+        g1``), each popped as it is read, so maps the caller still holds keep
+        no gradient alive. A parameter in no map keeps its values and
+        moments. Moments and parameters stay float64 whatever the gradients'
+        dtype."""
         t = self.t = self.t + 1
         for name, p in self.params.items():
             parts = [held.pop(p) for held in grads if p in held]
             if not parts:
                 continue
-            g = reduce(np.add, parts)
+            # A copy when there is more than one part: a map may hold one
+            # array for two parameters.
+            g = parts[0].astype(DTYPE, copy=len(parts) > 1)
+            for part in parts[1:]:
+                g += part
             if np.isnan(g).any():
                 raise ValueError(f"NaN gradient for parameter '{name}'; aborting step")
             st = self.state[name]

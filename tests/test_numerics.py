@@ -370,6 +370,52 @@ def test_kernels_never_write_into_inputs_or_incoming_gradient(op):
         assert np.array_equal(t.values, old)
 
 
+# Number operands as the models pass them: Python floats on either side and
+# a numpy float64 scalar such as the 1/sqrt(d) query scale.
+NUMBER_CASES = {
+    "mul_number": (lambda x: nm.mul(x, 0.125), [(3, 4)]),
+    "add_number": (lambda x: nm.add(1.5, x), [(3, 4)]),
+    "mul_numpy_scalar": (lambda x: nm.mul(x, 1.0 / np.sqrt(8)), [(3, 4)]),
+}
+
+
+def _run_op(call, shapes, dtype):
+    rng = np.random.default_rng(11)
+    inputs = [nm.Tensor(rng.uniform(0.1, 0.9, shape).astype(dtype), requires_grad=True) for shape in shapes]
+    with nm.Tape() as tape:
+        out = call(*inputs)
+        (entry,) = tape.entries
+    grads = [g for g in entry.backward(rng.normal(size=out.shape).astype(dtype)) if g is not None]
+    assert len(grads) == len(inputs)
+    return out.values, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", sorted(OWNERSHIP_CASES) + sorted(NUMBER_CASES))
+def test_kernels_keep_their_operands_dtype(op, dtype):
+    # A float32 graph stays float32 through every op: one float64 buffer or
+    # number would silently promote the rest of a training step.
+    call, shapes = {**OWNERSHIP_CASES, **NUMBER_CASES}[op]
+    out, grads = _run_op(call, shapes, dtype)
+    # bce_masked's loss is float64 for any input, as float32 rounds 1 - CLAMP_EPS to 1.
+    assert out.dtype == (np.float64 if op == "bce_masked" else dtype)
+    assert [g.dtype for g in grads] == [dtype] * len(grads)
+
+
+@pytest.mark.parametrize("op", sorted(NUMBER_CASES))
+def test_number_operands_give_the_float64_tensor_bits(op):
+    # In float64 a number operand computes exactly as a float64 tensor of it.
+    call, shapes = NUMBER_CASES[op]
+    as_tensors = {
+        "mul_number": lambda x: nm.mul(x, nm.as_tensor(0.125)),
+        "add_number": lambda x: nm.add(nm.as_tensor(1.5), x),
+        "mul_numpy_scalar": lambda x: nm.mul(x, nm.as_tensor(1.0 / np.sqrt(8))),
+    }[op]
+    (out, grads), (ref_out, ref_grads) = _run_op(call, shapes, np.float64), _run_op(as_tensors, shapes, np.float64)
+    assert out.tobytes() == ref_out.tobytes()
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+
+
 def test_gather_rows_scatter_gradient():
     table = nm.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
     idx = np.array([[0, 0], [3, 1]])
@@ -437,6 +483,25 @@ class TestAdamW:
         opt.step([{p: np.array([0.5, 0.5])}, {}])
         assert not np.array_equal(p.values, before)
         assert all(np.array_equal(x, y) for x, y in zip((q.values, opt.state["q"]["m"], opt.state["q"]["v"]), kept))
+
+    def test_float32_gradients_are_upcast_before_the_sum(self):
+        rng = np.random.default_rng(9)
+        start = rng.normal(size=(4, 3))
+        a, b = rng.normal(size=(2, 4, 3)).astype(np.float32)
+        runs = []
+        for maps in ([{}, {}], [{}]):
+            p = nm.Tensor(start.copy(), requires_grad=True, name="p")
+            opt = nm.AdamW({"p": p}, lr=0.05)
+            for _ in range(3):
+                if len(maps) == 2:
+                    maps[0][p], maps[1][p] = a.copy(), b.copy()
+                else:
+                    maps[0][p] = a.astype(np.float64) + b.astype(np.float64)
+                opt.step(maps)
+            state = opt.state["p"]
+            assert p.values.dtype == state["m"].dtype == state["v"].dtype == np.float64
+            runs.append((p.values.tobytes(), state["m"].tobytes(), state["v"].tobytes()))
+        assert runs[0] == runs[1]
 
 
 def test_seeded_training_is_bit_identical():
@@ -581,8 +646,8 @@ class TestGradientMaps:
             grads.append({name: leaves[p] for name, p in model.params.items()})
         assert _same_bytes(*grads)
 
-    def test_micro_batch_sum_matches_full_batch(self):
-        model = _ciso(dropout=0.0, seed=6)
+    @staticmethod
+    def _micro_batch_sums(model, bound):
         env, y, codes, rates, mask = _ciso_batch(7, rows=7)
         sums = []
         for micro in (1, 2):
@@ -591,7 +656,62 @@ class TestGradientMaps:
             summed = {name: sum(grads[p] for _, grads in results) for name, p in model.params.items()}
             sums.append((sum(v for v, _ in results), summed))
         (full_loss, full), (split_loss, split) = sums
-        assert split_loss == pytest.approx(full_loss, rel=0, abs=1e-12)
+        assert split_loss == pytest.approx(full_loss, rel=0, abs=bound)
         assert full.keys() == split.keys()
         for name in full:
-            assert np.abs(split[name] - full[name]).max() <= 1e-12, name
+            assert np.abs(split[name] - full[name]).max() <= bound, name
+
+    def test_micro_batch_sum_matches_full_batch(self):
+        # mlp++ steps run in float64, so the split changes only the summation order.
+        spec = models.ModelSpec(family="mlp++", n_species=5, n_env=4, hidden_dim=8, n_b=2, dropout=0.0)
+        self._micro_batch_sums(models.build_model(spec, seed=6), 1e-12)
+
+    def test_micro_batch_sum_matches_full_batch_in_float32(self):
+        # A ciso step runs in float32, so the split also changes the rounding (3.7e-9 read here).
+        self._micro_batch_sums(_ciso(dropout=0.0, seed=6), 1e-7)
+
+    def test_ciso_step_grads_are_float32_and_match_a_float64_backward(self):
+        model = _ciso(dropout=0.0, seed=6)
+        batch = _ciso_batch(8, rows=9)
+        env, y, codes, rates, mask = batch
+        masters = {name: p.values for name, p in model.params.items()}
+        results = training._step(model, 2, 2, env, y, codes, rates, mask, np.random.default_rng(0))
+        assert all(model.params[name].values is values for name, values in masters.items())
+        with nm.Tape() as tape:
+            loss = _ciso_loss(model, batch, None)
+            reference = nm.backward(tape, loss)
+        assert sum(v for v, _ in results) == pytest.approx(loss.item(), rel=1e-6)
+        # About 80 float32 epsilons of the largest gradient (0.26 here; 7.7e-7 read).
+        tol = 1e-5 * max(np.abs(g).max() for g in reference.values())
+        for name, p in model.params.items():
+            parts = [grads[p] for _, grads in results]
+            assert [g.dtype for g in parts] == [np.float32, np.float32], name
+            assert reference[p].dtype == np.float64
+            summed = parts[0].astype(np.float64) + parts[1]
+            assert np.abs(summed - reference[p]).max() <= tol, name
+
+    @pytest.mark.parametrize("mode", ["discrete", "linear", "periodic"])
+    def test_ciso_step_runs_float64_only_in_the_loss(self, monkeypatch, mode):
+        # Every op of a ciso step, in each encoding mode: float64 appears only
+        # in bce_masked's loss and the loss weight that scales it.
+        spec = models.ModelSpec(
+            family="ciso", n_species=5, n_env=4, hidden_dim=8, heads=2, transformer_layers=2, n_b=2, encoding=mode
+        )
+        model = models.build_model(spec, seed=0)
+        env, y, codes, rates, mask = _ciso_batch(9, rows=6)
+        assert env.dtype == rates.dtype == np.float64
+        record, seen = nm._record, []
+
+        def recording(out, inputs, bwd):
+            seen.append((bwd.__qualname__.split(".")[0], out.values.dtype, [t.values.dtype for t in inputs]))
+            return record(out, inputs, bwd)
+
+        monkeypatch.setattr(nm, "_record", recording)
+        # With the batch's states, and with none: the forward's default rates.
+        for states in ((codes, rates), (None, None)):
+            seen.clear()
+            training._step(model, 1, 1, env, y, *states, mask, np.random.default_rng(0))
+            assert {"dropout", "gather_rows", "gelu", "softmax_rows"} <= {op for op, _, _ in seen}
+            wide = [(op, str(dtype), [str(d) for d in ins]) for op, dtype, ins in seen
+                    if dtype != np.float32 or any(d != np.float32 for d in ins)]
+            assert wide == [("bce_masked", "float64", ["float32"]), ("mul", "float64", ["float64", "float64"])]

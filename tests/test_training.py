@@ -142,12 +142,13 @@ class TestTrainLoop:
     def test_forward_error_on_either_thread_propagates(self, monkeypatch, failing):
         monkeypatch.setenv("CISO_THREADS", "2")
         forward = CISOModel.forward
-        threads = set()
+        threads, trained = set(), []
 
         def flaky(self, *args, **kwargs):
             on_caller = threading.current_thread() is threading.main_thread()
             if kwargs.get("training"):
                 threads.add(on_caller)
+                trained.append(self)
                 if on_caller == (failing == "caller"):
                     raise RuntimeError(f"forward failed on the {failing}")
             return forward(self, *args, **kwargs)
@@ -159,6 +160,12 @@ class TestTrainLoop:
         assert threads == {True, False}
         assert nm.blas_threads() == before_blas
         assert threading.active_count() == before_threads
+        # The step ran in float32 copies; the model holds its float64 masters again.
+        model = trained[0]
+        initial = build_model(model.spec, seed=0)
+        for name, p in model.params.items():
+            assert p.values.dtype == np.float64, name
+            assert p.values.tobytes() == initial.params[name].values.tobytes(), name
 
     def test_checkpoint_bytes_do_not_depend_on_threads_over_several_pieces(self, monkeypatch, tmp_path):
         # At C = 45, d = 64 and 4 heads a piece holds 22 rows, so a 64-row step runs as 3 micro-batches.
