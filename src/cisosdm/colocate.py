@@ -125,6 +125,9 @@ def attach(a: Dataset, b: Dataset, pairs: list[CoLocation], a_label: str = "a", 
     named like one of A's becomes `<b_label>_<name>`. Groups `a_label` and
     `b_label` mark each side; each must be a string naming no other group.
     """
+    for side, ds in (("A", a), ("B", b)):
+        if repeats := ds.repeated_ids():
+            raise ValueError(f"dataset {side} repeats record ids {repeats[:5]}")
     overlap = set(a.ids) & set(b.ids)
     if overlap:
         raise ValueError(f"record id collision across datasets: {sorted(overlap)[:5]}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,11 +84,18 @@ class Dataset:
         except KeyError:
             raise KeyError(f"unknown species group '{name}'; have {sorted(self.group_masks)}") from None
 
+    def repeated_ids(self) -> list[str]:
+        """The record ids that occur more than once, sorted."""
+        return sorted(rid for rid, count in Counter(self.ids).items() if count > 1)
+
     def validate(self) -> None:
-        """Check shapes, target range and split tags; raise SchemaError on the
-        first violation. Empty env cells (NaN) are allowed: `fit_norm` and
-        `apply_norm` impute them. Infinite env values are not."""
+        """Check record ids, shapes, target range and split tags; raise
+        SchemaError on the first violation. Record ids must be unique. Empty
+        env cells (NaN) are allowed: `fit_norm` and `apply_norm` impute them.
+        Infinite env values are not."""
         n, c = self.n_records, self.n_species
+        if repeats := self.repeated_ids():
+            raise SchemaError(f"repeated record ids {repeats[:5]}")
         if self.targets.shape != (n, c):
             raise SchemaError(f"targets shape {self.targets.shape} does not match ({n}, {c})")
         if self.available.shape != (n, c):
@@ -295,6 +303,8 @@ def merge_targets(ds: Dataset, approved: list[tuple[str, str]]) -> Dataset:
     available = ds.available.copy()
     masks = {k: v.copy() for k, v in ds.group_masks.items()}
     for keep_name, drop_name in approved:
+        if keep_name == drop_name:
+            raise ValueError(f"merge pair {[keep_name, drop_name]} names one species twice")
         if keep_name not in species or drop_name not in species:
             missing = [n for n in (keep_name, drop_name) if n not in species]
             raise ValueError(f"merge pair references unknown species {missing}")

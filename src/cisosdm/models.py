@@ -300,9 +300,10 @@ class TransformerBlock:
         out += [self.wf1, self.bf1, self.wf2, self.bf2]
         return out
 
-    def _heads(self, x: Tensor, batch: int, length: int) -> Tensor:
+    def _heads(self, x: Tensor, batch: int, length: int, axes=(0, 2, 1, 3)) -> Tensor:
+        """(B, L, heads*d) split into heads, (B, L, heads, d), then permuted by `axes`."""
         x = nm.reshape(x, (batch, length, self.heads, self.dim))
-        return nm.transpose(x, (0, 2, 1, 3))
+        return nm.transpose(x, axes)
 
     def attention_weights(self, a: Tensor) -> Tensor:
         """Row-stochastic attention matrix (B, heads, L, L) over the
@@ -313,8 +314,8 @@ class TransformerBlock:
         # the softmax.
         scale = 1.0 / np.sqrt(self.dim)
         q = self._heads(nm.matmul(a, nm.mul(self.wq, scale), nm.mul(self.bq, scale)), batch, length)
-        k = self._heads(nm.matmul(a, self.wk, self.bk), batch, length)
-        return nm.softmax_rows(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))))
+        k_t = self._heads(nm.matmul(a, self.wk, self.bk), batch, length, (0, 2, 3, 1))  # (B, heads, d, L)
+        return nm.softmax_rows(nm.matmul(q, k_t))
 
     def forward(self, x: Tensor, training: bool, rng) -> Tensor:
         batch, length, _ = x.shape

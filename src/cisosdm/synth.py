@@ -3,10 +3,11 @@ exact Bayes oracle.
 
 Each location draws environmental covariates uniformly on [-1, 1]; species
 are sampled in topological order of a signed interaction DAG, with
-P(present) = sigmoid(theta_c . env + sum_{j in parents(c)} W_cj 1[j present]
-+ b_c). The per-species intercepts b_c play the role of generator noise and
-are drawn once from the spec seed, so the oracle can enumerate the joint
-distribution exactly.
+P(present) = sigmoid(theta_c . env + sum_p W[c, p] 1[p present] + b_c), where
+W is the summed edge weight matrix. The per-species intercepts b_c play the
+role of generator noise and are drawn once from the spec seed, so the oracle
+can enumerate the joint distribution exactly: it scores all 2^n
+configurations in log space, for all rows at once.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import expit, log_expit
 
 from . import check_fields
 from .dataio import Dataset
@@ -69,7 +71,9 @@ def topo_order(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
 
 
 class SynthModel:
-    """Realized generator parameters; shared by sampling and the oracle."""
+    """Realized generator parameters; shared by sampling and the oracle.
+
+    `weights[c, p]` is the summed weight of the edges p -> c."""
 
     def __init__(self, spec: SynthSpec):
         self.spec = spec
@@ -77,22 +81,9 @@ class SynthModel:
         self.theta = rng.normal(0.0, spec.env_scale, size=(spec.n_species, spec.n_env))
         self.bias = rng.normal(0.0, spec.noise, size=spec.n_species)
         self.order = topo_order(spec.n_species, spec.edges)
-        self.parents: dict[int, list[tuple[int, float]]] = {i: [] for i in range(spec.n_species)}
+        self.weights = np.zeros((spec.n_species, spec.n_species))
         for p, c, w in spec.edges:
-            self.parents[c].append((p, w))
-
-    def presence_logits(self, env: np.ndarray, present: np.ndarray) -> np.ndarray:
-        """Logits for every species given a full presence configuration."""
-        logits = env @ self.theta.T + self.bias
-        logits = np.broadcast_to(logits, present.shape).copy()
-        for c, pw in self.parents.items():
-            for p, w in pw:
-                logits[..., c] = logits[..., c] + w * present[..., p]
-        return logits
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+            self.weights[c, p] += w
 
 
 def generate(spec: SynthSpec) -> Dataset:
@@ -108,10 +99,7 @@ def generate(spec: SynthSpec) -> Dataset:
     present = np.zeros((n, c))
     base = env @ model.theta.T + model.bias
     for sp in model.order:
-        logit = base[:, sp].copy()
-        for p, w in model.parents[sp]:
-            logit += w * present[:, p]
-        present[:, sp] = (rng.random(n) < _sigmoid(logit)).astype(float)
+        present[:, sp] = rng.random(n) < expit(base[:, sp] + present @ model.weights[sp])
 
     if spec.rate_mode:
         rates = rng.beta(2.0, 2.0, size=(n, c))
@@ -141,53 +129,38 @@ def generate(spec: SynthSpec) -> Dataset:
     )
 
 
-def _configs(n: int) -> np.ndarray:
-    bits = np.arange(2**n)[:, None] >> np.arange(n)[None, :]
-    return (bits & 1).astype(float)
-
-
 def bayes_conditional(
-    model: SynthModel, env_row: np.ndarray, revealed: dict[int, bool] | None = None
+    model: SynthModel, env: np.ndarray, present: np.ndarray | None = None, reveal_mask: np.ndarray | None = None
 ) -> np.ndarray:
-    """Exact P(species present | env, revealed states) by joint enumeration.
+    """Exact P(species present | env, revealed states) for every row of `env`
+    by joint enumeration in log space; a 1-D `env` gives one row.
 
+    With `reveal_mask`, each row is conditioned on the masked species'
+    states in its row of `present`, where a positive value means present.
     Limited to small communities (2^n configurations)."""
-    spec = model.spec
-    if spec.n_species > 12:
-        raise ValueError(f"oracle enumeration is limited to 12 species, got {spec.n_species}")
-    cfg = _configs(spec.n_species)  # (2^n, n)
-    logits = model.presence_logits(np.asarray(env_row)[None, :], cfg)
-    p = _sigmoid(logits)
-    loglik = (np.log(np.clip(p, 1e-300, 1.0)) * cfg + np.log(np.clip(1.0 - p, 1e-300, 1.0)) * (1.0 - cfg)).sum(axis=1)
-    lik = np.exp(loglik - loglik.max())
-    if revealed:
-        keep = np.ones(cfg.shape[0], dtype=bool)
-        for sp, is_present in revealed.items():
-            keep &= cfg[:, sp] == (1.0 if is_present else 0.0)
-        lik = lik * keep
-    z = lik.sum()
-    if z <= 0:
-        raise ValueError("revealed states have zero probability under the generator")
-    return (lik @ cfg) / z
-
-
-def oracle_predictions(
-    model: SynthModel,
-    env: np.ndarray,
-    present: np.ndarray | None = None,
-    reveal_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-location oracle probabilities; optionally conditioned on the true
-    states of `reveal_mask` species."""
-    env = np.atleast_2d(env)
-    out = np.zeros((env.shape[0], model.spec.n_species))
-    reveal_idx = np.flatnonzero(reveal_mask) if reveal_mask is not None else []
-    for i in range(env.shape[0]):
-        revealed = None
-        if len(reveal_idx):
-            revealed = {int(s): bool(present[i, s] > 0) for s in reveal_idx}
-        out[i] = bayes_conditional(model, env[i], revealed)
-    return out
+    n = model.spec.n_species
+    if n > 12:
+        raise ValueError(f"oracle enumeration is limited to 12 species, got {n}")
+    env = np.asarray(env, dtype=float)
+    rows = np.atleast_2d(env)
+    cfg = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)  # (2^n, n)
+    sign = 2.0 * cfg - 1.0  # +1 where a configuration has the species, -1 where not
+    base = rows @ model.theta.T + model.bias  # (N, n)
+    signed_shift = sign * (cfg @ model.weights.T)  # (2^n, n): the present parents' pull
+    loglik = np.zeros((rows.shape[0], cfg.shape[0]))
+    for c in range(n):
+        z = np.multiply.outer(base[:, c], sign[:, c])
+        z += signed_shift[:, c]
+        loglik += log_expit(z, out=z)
+    if reveal_mask is not None:
+        reveal = np.asarray(reveal_mask, dtype=bool)
+        known = 2.0 * (np.atleast_2d(present)[:, reveal] > 0) - 1.0
+        # A configuration agrees with a row on all r revealed species iff their signs' dot product is r.
+        loglik[known @ sign[:, reveal].T < reveal.sum()] = -np.inf
+    loglik -= loglik.max(axis=1, keepdims=True)
+    lik = np.exp(loglik, out=loglik)
+    out = (lik @ cfg) / lik.sum(axis=1, keepdims=True)
+    return out[0] if env.ndim == 1 else out
 
 
 def oracle_report(model: SynthModel, ds: Dataset, reveal_mask: np.ndarray, score_mask: np.ndarray, indices=None) -> dict:
@@ -198,10 +171,9 @@ def oracle_report(model: SynthModel, ds: Dataset, reveal_mask: np.ndarray, score
     """
     idx = np.arange(ds.n_records) if indices is None else np.asarray(indices)
     env = ds.env[idx]
-    present = (ds.targets[idx] > 0).astype(float)
     truth = ds.targets[idx]
-    marginal = oracle_predictions(model, env)
-    conditional = oracle_predictions(model, env, present, reveal_mask)
+    marginal = bayes_conditional(model, env)
+    conditional = bayes_conditional(model, env, truth, reveal_mask)
     score = np.asarray(score_mask, dtype=bool)
     mae_marginal = float(np.abs(marginal[:, score] - truth[:, score]).mean())
     mae_conditional = float(np.abs(conditional[:, score] - truth[:, score]).mean())

@@ -468,6 +468,8 @@ class TestErrors:
         first_id = rows[0].split(",")[0]
         other = tmp_path / "other.csv"  # the same sites under other record ids, for colocate
         other.write_text("\n".join([header] + [f"b_{row}" for row in rows]) + "\n")
+        dup = tmp_path / "dup.csv"  # the second record under the first one's id
+        dup.write_text("\n".join([header, rows[0], ",".join([first_id] + rows[1].split(",")[1:]), *rows[2:]]) + "\n")
         narrow = tmp_path / "narrow.csv"  # the same records without env_3 and env_4
         keep = [i for i, name in enumerate(header.split(",")) if name not in ("env_3", "env_4")]
         narrow.write_text("\n".join(",".join(line.split(",")[i] for i in keep) for line in [header, *rows]) + "\n")
@@ -501,6 +503,10 @@ class TestErrors:
             ("prepare", {"dataset": dataset, "min_presences": [1]}, ["config 'min_presences'", "[1]"]),
             ("prepare", {"dataset": dataset, "approved_merges": [5]}, ["config 'approved_merges'", "5"]),
             ("prepare", {"dataset": dataset, "approved_merges": {}}, ["config 'approved_merges'", "JSON array"]),
+            ("prepare", {"dataset": dataset, "approved_merges": [["species_00", "species_00"]]},
+             ["merge pair ['species_00', 'species_00'] names one species twice"]),
+            ("prepare", {"dataset": str(dup)}, [f"repeated record ids ['{first_id}']"]),
+            ("colocate", {"dataset_a": str(other), "dataset_b": str(dup)}, [f"repeated record ids ['{first_id}']"]),
             ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "radius_km": {}},
              ["config 'radius_km'", "{}"]),
             ("colocate", {"dataset_a": dataset, "dataset_b": str(other), "radius_km": float("nan")}, ["radius_km"]),
@@ -612,7 +618,7 @@ class TestErrors:
         cisosdm._apply_thread_cap()
         assert os.environ["OMP_NUM_THREADS"] == os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
-    def test_cli_import_stays_light_and_src_has_no_asserts(self):
+    def test_cli_import_stays_light(self):
         # scipy.spatial and scipy.stats add about 0.2 s and 1.1 s (2-vCPU machine) to every
         # command's start-up; the KD-tree imports scipy.spatial where it is built.
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cisosdm.__file__)))
@@ -620,6 +626,8 @@ class TestErrors:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_src_has_no_asserts(self):
         # `python -O` strips assert statements, so checks in the package must raise.
         for name, tree in _src_modules():
             lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

@@ -265,6 +265,15 @@ class TestAttach:
         with pytest.raises(ValueError, match="collision"):
             co.attach(a, b, [])
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_repeated_ids_rejected(self, side):
+        # Paired by id, A's record would take the species of B's last "dup" record, the far one.
+        a = make_dataset([0.0, 5.0], [0.0, 5.0], "a")
+        b = make_dataset([0.0, 40.0], [0.0, 40.0], "b", targets=[[1.0], [0.0]])
+        (a if side == "A" else b).ids = ["dup", "dup"]
+        with pytest.raises(ValueError, match=rf"dataset {side} repeats record ids \['dup'\]"):
+            co.attach(a, b, co.colocate(a, b, 1.0))
+
     def test_pair_counts_match_bruteforce_on_grid(self):
         # 5x5 A grid at ~1.1 km spacing, B on alternating offsets
         step = 0.01

@@ -234,6 +234,12 @@ class TestValidate:
         with pytest.raises(dataio.SchemaError, match="group mask 'g'"):
             ds.validate()
 
+    def test_repeated_ids_are_schema_error_naming_up_to_five(self):
+        ds = toy_dataset([[1.0, 0.0]] * 14)
+        ds.ids = ["r7", "r1", "r9", "r1", "r8", "r6", "r5", "r4", "r3", "r3", "r6", "r7", "r9", "r5"]
+        with pytest.raises(dataio.SchemaError, match=r"repeated record ids \['r1', 'r3', 'r5', 'r6', 'r7'\]$"):
+            ds.validate()
+
     def test_unnumbered_env_header_names_column(self, tmp_path):
         text = BASIC.replace("env_1", "env_a")
         with pytest.raises(dataio.SchemaError, match="'env_a'"):
@@ -262,6 +268,11 @@ class TestMergeTargets:
         ds = toy_dataset([[1.0, 0.0]])
         with pytest.raises(ValueError, match="unknown species"):
             dataio.merge_targets(ds, [("s0", "nope")])
+
+    def test_pair_naming_one_species_twice_errors(self):
+        ds = toy_dataset([[1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"merge pair \['s1', 's1'\] names one species twice"):
+            dataio.merge_targets(ds, [("s1", "s1")])
 
 
 class TestSpatialBlockSplit:

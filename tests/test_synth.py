@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,27 @@ def chain_spec(w=4.0, n_locations=1000, seed=0, **kw):
         seed=seed,
         **kw,
     )
+
+
+def brute_force_conditional(model, env_row, revealed=None):
+    """Reference oracle for one row: sum the joint probability of every
+    configuration that agrees with `revealed` ({species: state}), with each
+    species' logit built edge by edge from the spec."""
+    n = model.spec.n_species
+    base = env_row @ model.theta.T + model.bias
+    total, mass = 0.0, np.zeros(n)
+    for states in itertools.product((0.0, 1.0), repeat=n):
+        x = np.array(states)
+        if revealed and any(x[sp] != state for sp, state in revealed.items()):
+            continue
+        logit = base.copy()
+        for p, c, w in model.spec.edges:
+            logit[c] += w * x[p]
+        prob = 1.0 / (1.0 + np.exp(-logit))
+        joint = np.prod(np.where(x > 0, prob, 1.0 - prob))
+        total += joint
+        mass += joint * x
+    return mass / total
 
 
 class TestSpec:
@@ -103,13 +126,42 @@ class TestBayesOracle:
         expected = 1.0 / (1.0 + np.exp(-(env @ model.theta.T + model.bias)))
         assert np.allclose(synth.bayes_conditional(model, env), expected)
 
+    def test_weights_sum_repeated_edges(self):
+        spec = synth.SynthSpec(n_species=3, n_env=1, n_locations=10, edges=[(0, 2, 1.5), (1, 2, -2.0), (0, 2, 0.5)])
+        assert np.array_equal(synth.SynthModel(spec).weights, [[0, 0, 0], [0, 0, 0], [2.0, -2.0, 0]])
+
+    def test_all_rows_match_per_row_brute_force(self):
+        edges = [(0, 2, 2.5), (1, 2, -3.0), (2, 3, 4.0), (0, 4, -1.5), (3, 4, 2.0), (0, 2, 1.0)]
+        spec = synth.SynthSpec(n_species=5, n_env=3, n_locations=10, edges=edges, env_scale=1.5, seed=11)
+        model = synth.SynthModel(spec)
+        rng = np.random.default_rng(12)
+        env = rng.uniform(-1.0, 1.0, size=(40, 3))
+        present = (rng.random((40, 5)) < 0.5).astype(float)  # revealed states vary by row
+        reveal_mask = np.array([True, False, False, True, False])
+        marginal = synth.bayes_conditional(model, env)
+        conditional = synth.bayes_conditional(model, env, present, reveal_mask)
+        assert marginal.shape == conditional.shape == (40, 5)
+        for i in range(40):
+            revealed = {sp: present[i, sp] for sp in np.flatnonzero(reveal_mask)}
+            assert np.allclose(marginal[i], brute_force_conditional(model, env[i]), rtol=0.0, atol=1e-12)
+            assert np.allclose(conditional[i], brute_force_conditional(model, env[i], revealed), rtol=0.0, atol=1e-12)
+            one_row = synth.bayes_conditional(model, env[i], present[i], reveal_mask)
+            assert np.allclose(one_row, conditional[i], rtol=0.0, atol=1e-12)
+
+    def test_revealed_states_of_vanishing_prior_probability(self):
+        # Both species are all but certain to be present at env 1; revealing both absent still has an answer.
+        spec = synth.SynthSpec(n_species=2, n_env=1, n_locations=5, env_scale=1000.0, seed=6)
+        out = synth.bayes_conditional(synth.SynthModel(spec), np.array([1.0]), np.zeros(2), np.ones(2, dtype=bool))
+        assert np.array_equal(out, [0.0, 0.0])
+
     def test_revealing_parent_shifts_child_in_weight_sign(self):
         for w in (4.0, -4.0):
             spec = synth.SynthSpec(n_species=2, n_env=1, n_locations=10, edges=[(0, 1, w)], seed=7)
             model = synth.SynthModel(spec)
             env = np.array([0.1])
-            with_parent = synth.bayes_conditional(model, env, {0: True})[1]
-            without_parent = synth.bayes_conditional(model, env, {0: False})[1]
+            reveal = np.array([True, False])
+            with_parent = synth.bayes_conditional(model, env, np.array([1.0, 0.0]), reveal)[1]
+            without_parent = synth.bayes_conditional(model, env, np.array([0.0, 0.0]), reveal)[1]
             if w > 0:
                 assert with_parent > without_parent
             else:
@@ -125,9 +177,7 @@ class TestBayesOracle:
         present = np.zeros((n, 3))
         base = env @ model.theta.T + model.bias
         for sp in model.order:
-            logit = np.full(n, base[sp])
-            for p, w in model.parents[sp]:
-                logit = logit + w * present[:, p]
+            logit = base[sp] + present @ model.weights[sp]
             present[:, sp] = rng.random(n) < 1.0 / (1.0 + np.exp(-logit))
         mc = present.mean(axis=0)
         sigma = np.sqrt(np.maximum(mc * (1 - mc), 1e-9) / n)
@@ -136,7 +186,7 @@ class TestBayesOracle:
     def test_revealed_consistency_condition(self):
         spec = chain_spec()
         model = synth.SynthModel(spec)
-        out = synth.bayes_conditional(model, np.zeros(2), {1: True})
+        out = synth.bayes_conditional(model, np.zeros(2), np.array([0.0, 1.0, 0.0]), np.array([False, True, False]))
         assert out[1] == pytest.approx(1.0)
 
     def test_too_many_species_rejected(self):
@@ -186,5 +236,6 @@ class TestOracleReport:
         for parent_state in (True, False):
             rows = bucket & ((ds.targets[:, 0] > 0) == parent_state)
             emp = ds.targets[rows, 1].mean()
-            exact = synth.bayes_conditional(model, np.zeros(1), {0: parent_state})[1]
+            state = np.array([float(parent_state), 0.0])
+            exact = synth.bayes_conditional(model, np.zeros(1), state, np.array([True, False]))[1]
             assert emp == pytest.approx(exact, abs=0.03)
