@@ -82,9 +82,9 @@ class ModelSpec:
 
 
 def row_bytes(spec: ModelSpec) -> int:
-    """Bytes one row of a CISO inference forward, which runs in float64,
-    holds at once: the arrays alive in one transformer block, namely the
-    score/softmax temporaries, q/k/v and the merged heads, and the
+    """Bytes one row of a float64 CISO inference forward holds at once (half
+    in float32, as in `train`'s validation): the arrays alive in one block,
+    namely the score/softmax temporaries, q/k/v and the merged heads, and the
     feed-forward's GELU temporaries. It bounds the tracemalloc peak of a
     forward pass per row from above (C = 10..300, d = 64..256) with room to
     spare: head splits are views and softmax, layer norm and GELU work in
@@ -96,10 +96,9 @@ def row_bytes(spec: ModelSpec) -> int:
 def piece_rows(spec: ModelSpec) -> int:
     """Rows of a CISO piece, a predict batch or a training micro-batch: as
     many as keep its largest per-op array, counted at 8 bytes an entry,
-    within CACHE_BYTES, within [1, MAX_PREDICT_ROWS]. Predict runs in
-    float64; a training micro-batch runs in float32 and so fills half the
-    cache, but is sized alike, which keeps the micro-batch count and the
-    checkpoint bytes of the float64 sizing."""
+    within CACHE_BYTES, within [1, MAX_PREDICT_ROWS]. Inside `train`, steps
+    and validation predicts run in float32 and fill half the cache, but are
+    sized alike, which keeps the checkpoint bytes of the float64 sizing."""
     length = spec.n_species + 1
     largest = 8 * max(spec.heads * length**2, 4 * spec.hidden_dim * length)
     return max(1, min(MAX_PREDICT_ROWS, CACHE_BYTES // largest))
@@ -166,6 +165,8 @@ class Model:
         threads shrink so that the rows in flight stay within
         PREDICT_BUDGET_BYTES by :func:`row_bytes`. The other families split
         MAX_PREDICT_ROWS rows in flight across the W threads."""
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
         n = env.shape[0]
         out = np.empty((n, self.spec.n_species))
         workers = predict_workers()
@@ -368,13 +369,13 @@ class CISOModel(Model):
         self._add(self.readout_w, self.readout_b)
 
     def forward(self, env, codes=None, rates=None, training=False, rng=None) -> Tensor:
-        env = np.atleast_2d(env)
+        dtype = self.tables.species.values.dtype
+        env = np.atleast_2d(env).astype(dtype, copy=False)
         batch = env.shape[0]
         c = self.spec.n_species
         if codes is None:
             codes = np.zeros((batch, c), dtype=np.int64)
-        if rates is None:
-            rates = np.zeros((batch, c), self.tables.species.values.dtype)
+        rates = np.zeros((batch, c), dtype) if rates is None else np.asarray(rates, dtype)
         z = _run_trunk(self.trunk, Tensor(env))
         z = nm.reshape(z, (batch, 1, self.spec.hidden_dim))
         tokens = species_tokens(self.tables, codes, rates)

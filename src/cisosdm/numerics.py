@@ -27,9 +27,9 @@ float64, bit for bit as a float64-only library would. A number operand of
 tensor they serve. The one exception is `bce_masked`, which computes its
 loss in float64 (float32 cannot hold 1 - CLAMP_EPS) and returns its gradient
 in the prediction's dtype. Inference and the finite-difference checks run in
-float64; a CISO training step runs its forward and backward in float32 on
-float32 copies of the parameters, and `AdamW` keeps its moments and the
-parameters themselves in float64.
+float64. A CISO model holds float32 parameters while it trains, so its steps
+and its validation predictions run in float32; `AdamW` keeps the float64
+master weights and moments, and writes each parameter from its master.
 
 The module also reads and holds the BLAS thread count (`blas_threads`,
 `one_blas_thread`), which is process-wide, and runs the package's one
@@ -595,8 +595,11 @@ def bce_masked(pred: Tensor, target, loss_mask) -> Tensor:
 class AdamW:
     """AdamW with bias correction and decoupled multiplicative weight decay.
 
-    Moment accumulators start at zero and match parameter shapes; one step
-    counter `t` serves all, as every parameter gets a gradient every step.
+    It owns the float64 master weights, `masters`: a parameter's own array
+    when it is float64, else a float64 copy, so a parameter may hold float32
+    values (mixed precision, Micikevicius et al., arXiv:1710.03740). Moments
+    start at zero; one step counter `t` serves all, as every parameter gets a
+    gradient every step.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -606,34 +609,39 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.state = {name: {"m": np.zeros_like(p.values), "v": np.zeros_like(p.values)} for name, p in params.items()}
+        self.masters = {name: p.values.astype(DTYPE, copy=False) for name, p in params.items()}
+        self.state = {name: {"m": np.zeros_like(m), "v": np.zeros_like(m)} for name, m in self.masters.items()}
 
     def step(self, grads: Sequence[dict[Tensor, np.ndarray]]) -> None:
         """One update from :func:`backward`'s maps. A parameter's gradient is
         its entries, each upcast to float64, summed in map order (``g0 +
         g1``), each popped as it is read, so maps the caller still holds keep
         no gradient alive. A parameter in no map keeps its values and
-        moments. Moments and parameters stay float64 whatever the gradients'
-        dtype."""
-        t = self.t = self.t + 1
+        moments. Moments and masters stay float64; each updated parameter
+        gets its master in its own dtype. A NaN or infinite gradient raises
+        ValueError naming its parameter before anything is written."""
+        summed = {}
         for name, p in self.params.items():
             parts = [held.pop(p) for held in grads if p in held]
             if not parts:
                 continue
             # A copy when there is more than one part: a map may hold one
             # array for two parameters.
-            g = parts[0].astype(DTYPE, copy=len(parts) > 1)
+            g = summed[name] = parts[0].astype(DTYPE, copy=len(parts) > 1)
             for part in parts[1:]:
                 g += part
-            if np.isnan(g).any():
-                raise ValueError(f"NaN gradient for parameter '{name}'; aborting step")
-            st = self.state[name]
+            if not np.isfinite(g).all():
+                raise ValueError(f"non-finite gradient for parameter '{name}'; aborting step")
+        t = self.t = self.t + 1
+        for name, g in summed.items():
+            st, p, master = self.state[name], self.params[name], self.masters[name]
             st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * g
             st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * (g * g)
             m_hat = st["m"] / (1.0 - self.beta1**t)
             v_hat = st["v"] / (1.0 - self.beta2**t)
             update = m_hat / (np.sqrt(v_hat) + self.eps)
-            p.values = p.values - self.lr * update - self.lr * self.weight_decay * p.values
+            master = self.masters[name] = master - self.lr * update - self.lr * self.weight_decay * master
+            p.values = master.astype(p.values.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,9 @@ def _rng(seed: int, stage: int) -> np.random.Generator:
 # the spec and the batch size only, not on the thread count, so neither do
 # the trained parameters.
 MICRO_BATCHES = {"ciso": 2}
-# Forward and backward dtype of a training step, by family; the rest train in
-# float64. The parameters, AdamW's moments, checkpoints and predict stay
-# float64 (master-weight mixed precision, Micikevicius et al.,
+# Dtype of a model's parameters, steps and validation predicts during `train`,
+# by family; the rest train in float64. AdamW's master weights and moments,
+# checkpoints and a trained model's predict stay float64 (Micikevicius et al.,
 # arXiv:1710.03740). On 2 vCPUs (d = 64, 3 blocks) a ciso step's
 # micro-batches took 25 ms in float32 against 66 ms in float64 at C = 10 and
 # B = 64, and 163 against 285 ms at C = 100 and B = 32. An mlp++ step with
@@ -131,22 +131,14 @@ def _step(model, workers: int, micro: int, env, y, codes, rates, loss_mask, drop
     so the losses sum to the full batch's, and its dropout generator is
     seeded by the m-th of the seeds drawn from `drop_rng`.
 
-    The step runs in the family's STEP_DTYPES dtype: the parameters' values,
-    `env` and `rates` are cast to it once, the gradient maps come back in it,
-    and each parameter gets its float64 values back when the step ends, also
-    when it raises."""
+    The step runs in the dtype of the model's parameters, which `train` sets
+    from STEP_DTYPES, and its gradient maps come back in it; it writes no
+    parameter."""
     rows = env.shape[0]
     m = min(micro, rows)
     seeds = drop_rng.integers(2**63, size=m)
     edges = [rows * i // m for i in range(m + 1)]
     results: list = [None] * m
-    dtype = STEP_DTYPES.get(model.spec.family, nm.DTYPE)
-    masters = [(p, p.values) for p in model.params.values()]
-    if dtype != nm.DTYPE:
-        env = env.astype(dtype)
-        rates = None if rates is None else rates.astype(dtype)
-        for p, values in masters:
-            p.values = values.astype(dtype)
 
     def run(i: int) -> None:
         sl = slice(edges[i], edges[i + 1])
@@ -158,19 +150,16 @@ def _step(model, workers: int, micro: int, env, y, codes, rates, loss_mask, drop
             value = loss.item()
             results[i] = value, (nm.backward(tape, loss) if np.isfinite(value) else {})
 
-    try:
-        nm.run_split(m, workers, run)
-    finally:
-        for p, values in masters:
-            p.values = values
+    nm.run_split(m, workers, run)
     return results
 
 
 def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[TrainedModel, list[dict]]:
     """Fit one model and keep the best checkpoint by unconditioned validation.
 
-    Returns the trained model (best-epoch parameters restored) and a history
-    with one row per epoch. The dataset must carry split tags.
+    Returns the trained model (best-epoch float64 parameters restored) and a
+    history with one row per epoch. The dataset must carry split tags. The
+    model holds STEP_DTYPES parameters until then.
     """
     train_idx = ds.split_indices("train")
     val_idx = ds.split_indices("val")
@@ -194,6 +183,8 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
     drop_rng = _rng(config.seed, 4)
 
     optimizer = nm.AdamW(model.params, lr=config.lr, weight_decay=config.weight_decay)
+    for p in model.params.values():  # the float64 masters stay with the optimizer
+        p.values = p.values.astype(STEP_DTYPES.get(spec.family, nm.DTYPE), copy=False)
     history: list[dict] = []
     best: tuple[float, int, dict[str, np.ndarray]] | None = None
     micro = MICRO_BATCHES.get(spec.family, 1)
@@ -249,7 +240,7 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
 
         # Ties keep the earlier epoch; a NaN never replaces a finite best.
         if best is None or not math.isfinite(best[0]) or metric_uncond > best[0]:
-            best = (metric_uncond, epoch, {k: p.values.copy() for k, p in model.params.items()})
+            best = (metric_uncond, epoch, {k: m.copy() for k, m in optimizer.masters.items()})
 
     for name, values in best[2].items():
         model.params[name].values = values

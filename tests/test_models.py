@@ -148,6 +148,19 @@ class TestCISO:
         assert out.shape == (3, 4)
         assert np.all((out > 0) & (out < 1))
 
+    @pytest.mark.parametrize("with_states", [True, False])
+    def test_forward_runs_in_the_parameters_dtype(self, with_states):
+        m = models.build_model(toy_spec("ciso"), seed=0)
+        env, *_, codes, rates = toy_batch()
+        states = (codes, rates) if with_states else (None, None)
+        expected = m.forward(env, *states).values
+        for p in m.params.values():
+            p.values = p.values.astype(np.float32)
+        out = m.forward(env, *states).values
+        assert env.dtype == rates.dtype == np.float64
+        assert out.dtype == np.float32
+        assert np.abs(out - expected).max() <= 1e-5
+
     def test_training_forward_frees_pre_softmax_scores(self, monkeypatch):
         scores = []
         softmax_rows = nm.softmax_rows
@@ -337,6 +350,14 @@ class TestParallelPredict:
         with nm.one_blas_thread():
             rows = [m.forward(env[i : i + 1], codes[i : i + 1], rates[i : i + 1]).values[0] for i in range(n)]
         assert np.abs(preds[0] - np.reshape(rows, preds[0].shape)).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["ciso", "mlp"])
+    @pytest.mark.parametrize("batch_size", [0, -1, -2])
+    def test_batch_size_below_one_is_rejected(self, family, batch_size):
+        m = models.build_model(toy_spec(family), seed=32)
+        env, _, _, _, codes, rates = toy_batch(seed=33, n=5)
+        with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
+            m.predict(env, codes, rates, batch_size=batch_size)
 
     def test_batches_cover_rows_and_hold_blas_for_several_batches(self, monkeypatch):
         monkeypatch.setenv("CISO_THREADS", "3")

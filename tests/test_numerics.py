@@ -452,6 +452,49 @@ class TestAdamW:
         with pytest.raises(ValueError, match="theta"):
             opt.step([{p: np.array([np.nan])}])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_in_a_later_parameter_changes_nothing(self, bad):
+        p = nm.Tensor([1.0, -2.0], requires_grad=True, name="p")
+        q = nm.Tensor([3.0, 4.0], requires_grad=True, name="q")
+        opt = nm.AdamW({"p": p, "q": q}, lr=0.1)
+        opt.step([{p: np.array([0.5, 0.5]), q: np.array([1.0, 1.0])}])
+
+        def snapshot():
+            return {name: (t.values.tobytes(), opt.state[name]["m"].tobytes(), opt.state[name]["v"].tobytes())
+                    for name, t in (("p", p), ("q", q))}
+
+        before = snapshot()
+        with pytest.raises(ValueError, match="non-finite gradient for parameter 'q'"):
+            opt.step([{p: np.array([0.5, 0.5]), q: np.array([bad, 1.0])}])
+        assert opt.t == 1
+        assert snapshot() == before
+        assert all(opt.masters[name].tobytes() == before[name][0] for name in ("p", "q"))
+
+    def test_float64_masters_are_the_parameters_own_arrays(self):
+        p = nm.Tensor([1.0, -2.0], requires_grad=True, name="p")
+        opt = nm.AdamW({"p": p}, lr=0.1)
+        assert opt.masters["p"] is p.values
+        opt.step([{p: np.array([0.5, 0.5])}])
+        assert opt.masters["p"] is p.values
+
+    def test_float32_parameters_follow_float64_masters_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        start = rng.normal(size=(4, 3))
+        grads = rng.normal(size=(5, 2, 4, 3)).astype(np.float32)
+        reference = nm.Tensor(start.copy(), requires_grad=True, name="p")
+        ref_opt = nm.AdamW({"p": reference}, lr=0.05)
+        p = nm.Tensor(start.copy(), requires_grad=True, name="p")
+        opt = nm.AdamW({"p": p}, lr=0.05)
+        p.values = p.values.astype(np.float32)  # as `training.train` casts a ciso model
+        for a, b in grads:
+            ref_opt.step([{reference: a.copy()}, {reference: b.copy()}])
+            opt.step([{p: a.copy()}, {p: b.copy()}])
+            master = opt.masters["p"]
+            assert master.dtype == np.float64 and master.tobytes() == reference.values.tobytes()
+            assert p.values.dtype == np.float32 and p.values.tobytes() == master.astype(np.float32).tobytes()
+        for key in ("m", "v"):
+            assert opt.state["p"][key].tobytes() == ref_opt.state["p"][key].tobytes()
+
     def test_step_counter_strictly_increases(self):
         p = nm.Tensor([1.0], requires_grad=True, name="p")
         opt = nm.AdamW({"p": p}, lr=0.01)
@@ -553,6 +596,15 @@ def _ciso_batch(seed, rows):
     known = rng.random((rows, 5)) < 0.4
     codes, rates = assign_states(y, available, known, 2)
     return env, y, codes, rates, available & ~known
+
+
+def _cast_for_steps(model) -> dict:
+    """Cast `model`'s parameters to their STEP_DTYPES dtype, as `training.train`
+    does before its first step; return the float64 values they held."""
+    masters = {name: p.values for name, p in model.params.items()}
+    for p in model.params.values():
+        p.values = p.values.astype(training.STEP_DTYPES[model.spec.family])
+    return masters
 
 
 def _ciso_loss(model, batch, rng):
@@ -668,15 +720,21 @@ class TestGradientMaps:
 
     def test_micro_batch_sum_matches_full_batch_in_float32(self):
         # A ciso step runs in float32, so the split also changes the rounding (3.7e-9 read here).
-        self._micro_batch_sums(_ciso(dropout=0.0, seed=6), 1e-7)
+        model = _ciso(dropout=0.0, seed=6)
+        _cast_for_steps(model)
+        self._micro_batch_sums(model, 1e-7)
 
     def test_ciso_step_grads_are_float32_and_match_a_float64_backward(self):
         model = _ciso(dropout=0.0, seed=6)
         batch = _ciso_batch(8, rows=9)
         env, y, codes, rates, mask = batch
-        masters = {name: p.values for name, p in model.params.items()}
+        masters = _cast_for_steps(model)
+        held = {name: p.values for name, p in model.params.items()}
         results = training._step(model, 2, 2, env, y, codes, rates, mask, np.random.default_rng(0))
-        assert all(model.params[name].values is values for name, values in masters.items())
+        # The step writes no parameter.
+        assert all(model.params[name].values is values for name, values in held.items())
+        for name, values in masters.items():
+            model.params[name].values = values
         with nm.Tape() as tape:
             loss = _ciso_loss(model, batch, None)
             reference = nm.backward(tape, loss)
@@ -698,6 +756,7 @@ class TestGradientMaps:
             family="ciso", n_species=5, n_env=4, hidden_dim=8, heads=2, transformer_layers=2, n_b=2, encoding=mode
         )
         model = models.build_model(spec, seed=0)
+        _cast_for_steps(model)
         env, y, codes, rates, mask = _ciso_batch(9, rows=6)
         assert env.dtype == rates.dtype == np.float64
         record, seen = nm._record, []
