@@ -156,8 +156,8 @@ class Model:
         raise NotImplementedError
 
     def predict(self, env: np.ndarray, codes=None, rates=None, batch_size: int = MAX_PREDICT_ROWS) -> np.ndarray:
-        """Batched inference that records nothing on any tape; returns a (N, C)
-        numpy matrix, (0, C) for no rows.
+        """Batched inference that records nothing on any tape: an (N, n_env)
+        `env` gives an (N, C) numpy matrix, (0, C) for no rows.
 
         The batches run through `numerics.run_split` on at most W threads
         (:func:`predict_workers`), and a batch holds at most `batch_size`
@@ -167,6 +167,8 @@ class Model:
         MAX_PREDICT_ROWS rows in flight across the W threads."""
         if batch_size < 1:
             raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+        if env.ndim != 2 or env.shape[1] != self.spec.n_env:
+            raise ValueError(f"env must have shape (N, {self.spec.n_env}), got {env.shape}")
         n = env.shape[0]
         out = np.empty((n, self.spec.n_species))
         workers = predict_workers()

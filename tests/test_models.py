@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -358,6 +359,14 @@ class TestParallelPredict:
         env, _, _, _, codes, rates = toy_batch(seed=33, n=5)
         with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
             m.predict(env, codes, rates, batch_size=batch_size)
+
+    @pytest.mark.parametrize("family", ["ciso", "mlp"])
+    @pytest.mark.parametrize("shape", [(5,), (1, 5, 1), (3, 4), (3, 6)])
+    def test_env_not_shaped_rows_by_n_env_is_rejected(self, family, shape):
+        # A 1-D env for one location used to be read as 5 locations.
+        m = models.build_model(toy_spec(family), seed=32)
+        with pytest.raises(ValueError, match=re.escape(f"env must have shape (N, 5), got {shape}")):
+            m.predict(np.ones(shape))
 
     def test_batches_cover_rows_and_hold_blas_for_several_batches(self, monkeypatch):
         monkeypatch.setenv("CISO_THREADS", "3")
