@@ -598,25 +598,21 @@ class AdamW:
     """AdamW with bias correction and decoupled multiplicative weight decay.
 
     It owns the float64 master weights, `masters`: a parameter's own array
-    when that is a writable C-contiguous float64 array, else a float64 copy,
-    so a parameter may hold float32 values (mixed precision, Micikevicius et
-    al., arXiv:1710.03740). Moments start at zero; one step counter `t`
-    serves all, as every parameter gets a gradient every step.
+    when it is float64, else a float64 copy, so a parameter may hold float32
+    values (mixed precision, Micikevicius et al., arXiv:1710.03740). Moments
+    start at zero; one step counter `t` serves all, as every parameter gets a
+    gradient every step.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    # Elements updated per pass: the pass's arrays of this length fit a 2 MiB L2.
-    CHUNK = 16384
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, weight_decay: float = 0.01):
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.masters = {name: np.require(p.values, DTYPE, "CW") for name, p in params.items()}
+        self.masters = {name: p.values.astype(DTYPE, copy=False) for name, p in params.items()}
         self.state = {name: {"m": np.zeros_like(m), "v": np.zeros_like(m)} for name, m in self.masters.items()}
-        # Rows: the summed gradient and two temporaries of one pass.
-        self._scratch = np.empty((3, min(self.CHUNK, max((m.size for m in self.masters.values()), default=0))))
 
     def step(self, grads: Sequence[dict[Tensor, np.ndarray]]) -> None:
         """One update from :func:`backward`'s maps. A parameter's gradient is
@@ -625,84 +621,30 @@ class AdamW:
         no gradient alive. A parameter in no map keeps its values and
         moments. Moments and masters stay float64; each updated parameter
         gets its master in its own dtype. A NaN or infinite gradient raises
-        ValueError naming its parameter before anything is written.
-
-        The update runs CHUNK elements at a time and writes the moments, the
-        master and the parameter in place, with the expressions and in the
-        order of the out-of-place update, so it gives that update's bits. The
-        gradient sums live in scratch rows, and no gradient array is written:
-        a map may hold one array for two parameters."""
-        pending = []
-        for name, p in self.params.items():
-            parts = [held.pop(p).reshape(-1) for held in grads if p in held]
-            if parts:
-                pending.append((name, parts))
-        for name, parts in pending:
-            if not self._finite(parts):
-                raise ValueError(f"non-finite gradient for parameter '{name}'; aborting step")
+        ValueError naming its parameter before anything is written."""
+        summed = {}
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows raises ValueError below
+            for name, p in self.params.items():
+                parts = [held.pop(p) for held in grads if p in held]
+                if not parts:
+                    continue
+                # A copy when there is more than one part: a map may hold one
+                # array for two parameters.
+                g = summed[name] = parts[0].astype(DTYPE, copy=len(parts) > 1)
+                for part in parts[1:]:
+                    g += part
+                if not np.isfinite(g).all():
+                    raise ValueError(f"non-finite gradient for parameter '{name}'; aborting step")
         t = self.t = self.t + 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        c1, c2 = 1.0 - b1, 1.0 - b2
-        bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
-        decay = lr * self.weight_decay
-        for name, parts in pending:
+        for name, g in summed.items():
             st, p, master = self.state[name], self.params[name], self.masters[name]
-            cast = p.values is not master
-            if cast and not (p.values.flags.c_contiguous and p.values.flags.writeable):
-                p.values = np.empty(master.shape, p.values.dtype)
-            flats = [x.reshape(-1) for x in (st["m"], st["v"], master, p.values)]
-            for lo in range(0, master.size, self.CHUNK):
-                g = self._gradient(parts, lo)
-                m, v, w, out = [x[lo : lo + self.CHUNK] for x in flats]
-                a, b = self._scratch[1:, : g.size]
-                # m = beta1 * m + (1 - beta1) * g
-                m *= b1
-                np.multiply(g, c1, out=a)
-                m += a
-                # v = beta2 * v + (1 - beta2) * (g * g)
-                np.multiply(g, g, out=a)
-                a *= c2
-                v *= b2
-                v += a
-                # update = (m / bias1) / (sqrt(v / bias2) + eps)
-                np.divide(m, bias1, out=a)
-                np.divide(v, bias2, out=b)
-                np.sqrt(b, out=b)
-                b += eps
-                a /= b
-                # master = master - lr * update - (lr * weight_decay) * master
-                a *= lr
-                np.subtract(w, a, out=a)
-                np.multiply(w, decay, out=b)
-                np.subtract(a, b, out=w)
-                if cast:
-                    out[...] = w
-            # Free each gradient once applied, as the out-of-place update did: freed all at
-            # the end of the step, the worker's arena trims its heap, and the next step faults it back in.
-            parts.clear()
-
-    def _finite(self, parts: list[np.ndarray]) -> bool:
-        """Whether every element of the summed gradient is finite."""
-        # A part's sum is finite only if all its elements are. With one part,
-        # or with float32 parts, whose float64 sum cannot overflow, that decides.
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises in `step`
-            if (len(parts) == 1 or all(part.dtype != DTYPE for part in parts)) and all(
-                np.isfinite(part.sum()) for part in parts
-            ):
-                return True
-            return all(np.isfinite(self._gradient(parts, lo)).all() for lo in range(0, parts[0].size, self.CHUNK))
-
-    def _gradient(self, parts: list[np.ndarray], lo: int) -> np.ndarray:
-        """Elements [lo, lo + CHUNK) of the summed flat gradient in float64:
-        a view of a lone float64 part, else the sum in scratch row 0."""
-        first = parts[0][lo : lo + self.CHUNK]
-        if len(parts) == 1 and first.dtype == DTYPE:
-            return first
-        g = self._scratch[0, : first.size]
-        g[...] = first
-        for part in parts[1:]:
-            g += part[lo : lo + self.CHUNK]
-        return g
+            st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * g
+            st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * (g * g)
+            m_hat = st["m"] / (1.0 - self.beta1**t)
+            v_hat = st["v"] / (1.0 - self.beta2**t)
+            update = m_hat / (np.sqrt(v_hat) + self.eps)
+            master = self.masters[name] = master - self.lr * update - self.lr * self.weight_decay * master
+            p.values = master.astype(p.values.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
