@@ -23,8 +23,8 @@ import scipy
 
 from . import __version__, check_value, colocate as co, dataio, read_json, synth as synthmod, training, write_json
 from .metrics import format_report_table
-from .models import FAMILIES, ModelSpec, load_checkpoint, mlp_widths_for_depth, predict_workers, save_checkpoint
-from .numerics import blas_threads
+from .models import FAMILIES, ModelSpec, load_checkpoint, mlp_widths_for_depth, save_checkpoint
+from .numerics import blas_threads, workers
 from .training import PRESETS, EvalProtocol, TrainConfig
 
 
@@ -235,13 +235,16 @@ def cmd_synth(
             raise ValueError(f"benchmark {benchmark!r} fixes config '{key}' at {getattr(spec, key)!r}, not {value!r}")
     ds = synthmod.generate(spec)
     ds = dataio.assign_split(ds, seed=seed)
+    oracle = spec.n_species <= 12 and not spec.rate_mode
+    if oracle and not ds.split_indices("test").size:
+        raise ValueError(f"n_locations={spec.n_locations} leaves the test split empty, and the oracle report scores it")
 
     csv_path = os.path.join(out_dir, "dataset.csv")
     cfg_path = os.path.join(out_dir, "dataset.json")
     dataio.save_dataset(ds, csv_path, cfg_path)
     outputs = [csv_path, cfg_path]
 
-    if spec.n_species <= 12 and not spec.rate_mode:
+    if oracle:
         model = synthmod.SynthModel(spec)
         report = synthmod.oracle_report(
             model, ds, ds.group_masks["drivers"], ds.group_masks["responders"], indices=ds.split_indices("test")
@@ -371,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     # Training's per-epoch lines go to stderr; stdout stays empty.
     logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     try:
-        workers = predict_workers()
+        threads = workers()
         blas = blas_threads()
         config = {}
         if args.config:
@@ -389,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
             outputs=[os.path.basename(o) for o in outputs],
             wall_clock_s=round(time.time() - started, 3),
             blas_threads=blas,
-            predict_workers=workers,
+            predict_workers=threads,
         )
         write_json(os.path.join(args.out_dir, "manifest.json"), asdict(manifest))
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

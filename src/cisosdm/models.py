@@ -10,13 +10,12 @@ the architecture is species-permutation equivariant by construction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Literal
 
 import numpy as np
 
-from . import check_fields, check_value, ciso_threads, numerics as nm, read_json, write_json
+from . import check_fields, check_value, numerics as nm, read_json, write_json
 from .dataio import NormStats
 from .encoding import MODES, EmbeddingTables, species_tokens
 from .features import MaxentConfig, expand
@@ -104,20 +103,6 @@ def piece_rows(spec: ModelSpec) -> int:
     return max(1, min(MAX_PREDICT_ROWS, CACHE_BYTES // largest))
 
 
-def predict_workers() -> int:
-    """Threads `Model.predict` and a split training step run on (W):
-    ``CISO_THREADS`` if set, else the CPUs this process may run on; 1 when no
-    BLAS thread setter is found. A bad ``CISO_THREADS`` raises ValueError."""
-    setting = ciso_threads()
-    if nm.blas_threads() is None:
-        return 1
-    if setting is not None:
-        return setting
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def mlp_widths_for_depth(depth: int, hidden_dim: int = 256) -> tuple[int, ...]:
     """Hidden widths for a depth-ablation MLP; widths double past 3 layers."""
     if depth < 2:
@@ -160,7 +145,7 @@ class Model:
         `env` gives an (N, C) numpy matrix, (0, C) for no rows.
 
         The batches run through `numerics.run_split` on at most W threads
-        (:func:`predict_workers`), and a batch holds at most `batch_size`
+        (`numerics.workers`), and a batch holds at most `batch_size`
         rows. A ciso batch holds at most :func:`piece_rows`, and batches and
         threads shrink so that the rows in flight stay within
         PREDICT_BUDGET_BYTES by :func:`row_bytes`. The other families split
@@ -171,7 +156,7 @@ class Model:
             raise ValueError(f"env must have shape (N, {self.spec.n_env}), got {env.shape}")
         n = env.shape[0]
         out = np.empty((n, self.spec.n_species))
-        workers = predict_workers()
+        workers = nm.workers()
         if self.spec.family == "ciso":
             flight = max(1, PREDICT_BUDGET_BYTES // row_bytes(self.spec))
             rows = min(batch_size, piece_rows(self.spec), flight)
@@ -185,8 +170,7 @@ class Model:
             r = rates[sl] if rates is not None else None
             out[sl] = self.forward(env[sl], c, r).values
 
-        with nm.tape_suspended():
-            nm.run_split(-(-n // rows), workers, run)
+        nm.run_split(-(-n // rows), workers, run)
         return out
 
 

@@ -33,13 +33,14 @@ master weights and moments, and writes each parameter from its master.
 
 The module also reads and holds the BLAS thread count (`blas_threads`,
 `one_blas_thread`), which is process-wide, and runs the package's one
-thread fan-out (`run_split`), which `Model.predict` and the training step
-share.
+thread fan-out (`run_split`) on the thread count it decides (`workers`),
+which `Model.predict` and the training step share.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -48,6 +49,8 @@ from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import ciso_threads
 
 DTYPE = np.float64
 
@@ -163,17 +166,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@contextmanager
-def tape_suspended():
-    """Record nothing on this thread's tape inside the block; the tape, if
-    any, is live again when the block exits."""
-    tape, _active.tape = _active.tape, None
-    try:
-        yield
-    finally:
-        _active.tape = tape
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
@@ -718,14 +710,30 @@ def one_blas_thread():
                 setter(_blas_saved)
 
 
+def workers() -> int:
+    """Threads a `run_split` caller fans out to (W): ``CISO_THREADS`` if set,
+    else the CPUs this process may run on; 1 when no BLAS thread setter is
+    found. A bad ``CISO_THREADS`` raises ValueError."""
+    setting = ciso_threads()
+    if blas_threads() is None:
+        return 1
+    if setting is not None:
+        return setting
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_split(pieces: int, workers: int, task: Callable[[int], object]) -> None:
     """Run ``task(i)`` for each i in ``range(pieces)`` on min(workers, pieces)
     threads: share s runs pieces s, s + shares, ... in order, and share 0
     runs on the caller, whose malloc arena already holds what it freed.
     Each call opens its own pool, so no thread outlives it. More than one
     piece holds BLAS at one thread, so that a piece computes the same bits on
-    any thread and for any `workers`. An error in any share is raised once
-    every share has ended."""
+    any thread and for any `workers`. The caller's tape is set aside for the
+    whole split, so no share records onto it, and is live again when the
+    call returns or raises. An error in any share is raised once every share
+    has ended."""
     shares = min(workers, pieces)
     if shares < 1:
         return
@@ -734,8 +742,12 @@ def run_split(pieces: int, workers: int, task: Callable[[int], object]) -> None:
         for i in range(share, pieces, shares):
             task(i)
 
-    with one_blas_thread() if pieces > 1 else nullcontext(), ThreadPoolExecutor(max(1, shares - 1)) as pool:
-        helpers = [pool.submit(run, share) for share in range(1, shares)]
-        run(0)
-        for helper in helpers:
-            helper.result()
+    tape, _active.tape = _active.tape, None
+    try:
+        with one_blas_thread() if pieces > 1 else nullcontext(), ThreadPoolExecutor(max(1, shares - 1)) as pool:
+            helpers = [pool.submit(run, share) for share in range(1, shares)]
+            run(0)
+            for helper in helpers:
+                helper.result()
+    finally:
+        _active.tape = tape

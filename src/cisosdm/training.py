@@ -24,7 +24,7 @@ from .dataio import SPLIT_TAGS, Dataset, apply_norm, fit_norm
 from .encoding import assign_states
 from .features import fit_maxent
 from .metrics import EvalReport, evaluate_matrix, macro_auc, topk_adaptive
-from .models import ModelSpec, TrainedModel, build_model, piece_rows, predict_workers
+from .models import ModelSpec, TrainedModel, build_model, piece_rows
 
 log = logging.getLogger(__name__)
 
@@ -59,26 +59,30 @@ PRESETS: dict[str, TrainConfig] = {
 
 
 def sample_known(available: np.ndarray, rng: np.random.Generator, cap_fraction: float = 0.75) -> np.ndarray:
-    """Draw C_known uniformly from the available species of one record and
-    return its species indices.
+    """Draw C_known uniformly from the available species of each record: the
+    (N, C) boolean mask of the revealed species of an (N, C) `available`.
 
-    k is uniform on [0, min(floor(cap * |C|), l)] where l counts the available
-    species; unavailable species are never revealed.
+    Row by row, k is uniform on [0, min(floor(cap * C), l)] where l counts
+    the row's available species, and the k species are drawn from them
+    without replacement; unavailable species are never revealed.
     """
     available = np.asarray(available, dtype=bool)
-    pool = np.flatnonzero(available)
-    k_max = min(int(np.floor(cap_fraction * available.size)), pool.size)
-    k = int(rng.integers(0, k_max + 1))
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    return rng.choice(pool, size=k, replace=False)
-
-
-def _known_matrix(available: np.ndarray, rng: np.random.Generator, cap: float) -> np.ndarray:
-    known = np.zeros_like(available, dtype=bool)
-    for i in range(available.shape[0]):
-        known[i, sample_known(available[i], rng, cap)] = True
+    known = np.zeros_like(available)
+    cap = int(np.floor(cap_fraction * available.shape[1]))
+    for row, pool in zip(known, map(np.flatnonzero, available)):
+        k = int(rng.integers(0, min(cap, pool.size) + 1))
+        if k > 0:
+            row[rng.choice(pool, size=k, replace=False)] = True
     return known
+
+
+def _reveal(targets, available, rng: np.random.Generator, config: TrainConfig) -> tuple:
+    """Reveal a random subset of each record's available species at their
+    true states: (codes, rates, unrevealed), where `unrevealed` marks the
+    available species left to predict."""
+    known = sample_known(available, rng, config.mask_cap_fraction)
+    codes, rates = assign_states(targets, available, known, config.n_b)
+    return codes, rates, available & ~known
 
 
 def _selection_metric(pred, truth, available, target_mask, binary: bool) -> float:
@@ -121,15 +125,16 @@ MICRO_BATCHES = {"ciso": 2}
 STEP_DTYPES = {"ciso": np.float32}
 
 
-def _step(model, workers: int, micro: int, env, y, codes, rates, loss_mask, drop_rng) -> list[tuple]:
+def _step(model, micro: int, env, y, codes, rates, loss_mask, drop_rng) -> list[tuple]:
     """(loss, gradient map) of each micro-batch of one training step, in
     micro-batch order; a map is empty when its loss is not finite.
 
     A batch of B rows runs as min(micro, B) contiguous micro-batches, each on
-    its own tape, through `numerics.run_split` on at most `workers` threads.
-    Micro-batch m's loss is weighted by rows_m / B (a weight of 1 is exact),
-    so the losses sum to the full batch's, and its dropout generator is
-    seeded by the m-th of the seeds drawn from `drop_rng`.
+    its own tape, through `numerics.run_split` on at most W threads
+    (`numerics.workers`). Micro-batch m's loss is weighted by rows_m / B (a
+    weight of 1 is exact), so the losses sum to the full batch's, and its
+    dropout generator is seeded by the m-th of the seeds drawn from
+    `drop_rng`.
 
     The step runs in the dtype of the model's parameters, which `train` sets
     from STEP_DTYPES, and its gradient maps come back in it; it writes no
@@ -150,7 +155,7 @@ def _step(model, workers: int, micro: int, env, y, codes, rates, loss_mask, drop
             value = loss.item()
             results[i] = value, (nm.backward(tape, loss) if np.isfinite(value) else {})
 
-    nm.run_split(m, workers, run)
+    nm.run_split(m, nm.workers(), run)
     return results
 
 
@@ -190,7 +195,6 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
     micro = MICRO_BATCHES.get(spec.family, 1)
     if spec.family == "ciso":
         micro = max(micro, -(-config.batch_size // piece_rows(spec)))
-    workers = predict_workers()
 
     for epoch in range(config.epochs):
         order = train_idx.copy()
@@ -198,17 +202,11 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
         losses = []
         for step, start in enumerate(range(0, order.size, config.batch_size)):
             batch = order[start : start + config.batch_size]
-            env_b = env_n[batch]
-            y = ds.targets[batch]
-            avail = ds.available[batch]
-            codes = rates = None
+            env_b, y, unrevealed = env_n[batch], ds.targets[batch], ds.available[batch]
+            codes = rates = None  # families without states reveal nothing
             if spec.uses_states:
-                known = _known_matrix(avail, lmt_rng, config.mask_cap_fraction)
-                codes, rates = assign_states(y, avail, known, config.n_b)
-                loss_mask = avail & ~known & target_mask
-            else:
-                loss_mask = avail & target_mask
-            results = _step(model, workers, micro, env_b, y, codes, rates, loss_mask, drop_rng)
+                codes, rates, unrevealed = _reveal(y, unrevealed, lmt_rng, config)
+            results = _step(model, micro, env_b, y, codes, rates, unrevealed & target_mask, drop_rng)
             value = sum(v for v, _ in results)
             if not np.isfinite(value):
                 raise RuntimeError(f"non-finite loss at epoch {epoch} step {step}")
@@ -216,18 +214,13 @@ def train(ds: Dataset, model_spec: ModelSpec, config: TrainConfig) -> tuple[Trai
             optimizer.step([grads for _, grads in results])
             losses.append(value)
 
-        val_pred = model.predict(env_n[val_idx])
-        metric_uncond = _selection_metric(val_pred, ds.targets[val_idx], ds.available[val_idx], target_mask, binary)
+        env_val, y_val, avail_val = env_n[val_idx], ds.targets[val_idx], ds.available[val_idx]
+        metric_uncond = _selection_metric(model.predict(env_val), y_val, avail_val, target_mask, binary)
         metric_cond = float("nan")
         if spec.uses_states:
-            val_known = _known_matrix(ds.available[val_idx], _rng(config.seed, 100 + epoch), config.mask_cap_fraction)
-            codes, rates = assign_states(ds.targets[val_idx], ds.available[val_idx], val_known, config.n_b)
-            cond_pred = model.predict(env_n[val_idx], codes, rates)
-            cond_loss_mask = ds.available[val_idx] & ~val_known & target_mask
-            if cond_loss_mask.any():
-                metric_cond = _selection_metric(
-                    cond_pred, ds.targets[val_idx], ds.available[val_idx] & ~val_known, target_mask, binary
-                )
+            codes, rates, unrevealed = _reveal(y_val, avail_val, _rng(config.seed, 100 + epoch), config)
+            cond_pred = model.predict(env_val, codes, rates)
+            metric_cond = _selection_metric(cond_pred, y_val, unrevealed, target_mask, binary)
         history.append(
             {
                 "epoch": epoch,

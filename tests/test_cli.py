@@ -13,7 +13,7 @@ import pytest
 import scipy
 
 import cisosdm
-from cisosdm import cli, dataio, models, numerics as nm
+from cisosdm import cli, dataio, numerics as nm
 
 
 def _src_modules(but: str = ""):
@@ -84,7 +84,7 @@ class TestSynthCommand:
         assert "dataset.csv" in manifest["outputs"]
         assert manifest["toolkit_version"]
         assert manifest["blas_threads"] == nm.blas_threads()
-        assert manifest["predict_workers"] == models.predict_workers() >= 1
+        assert manifest["predict_workers"] == nm.workers() >= 1
         assert manifest["versions"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -528,6 +528,7 @@ class TestErrors:
             ("synth", {"n_species": 3, "n_env": 2, "n_locations": 50, "noise": [0.5]}, ["config 'noise'", "[0.5]"]),
             ("synth", {"n_species": 3, "n_env": 2, "n_locations": 50, "edges": [[0, 1]]}, ["config 'edges'", "[0, 1]"]),
             ("synth", {"benchmark": "null", "n_locations": {}}, ["config 'n_locations'", "{}"]),
+            ("synth", {"benchmark": "interaction", "n_locations": 1}, ["n_locations=1", "test split empty"]),
             ("eval", {**scored, "protocols": [{"name": "c", "conditon_group": "drivers"}]},
              ["'protocols'[0]", "conditon_group"]),
             ("eval", {**scored, "protocols": ["cond"]}, ["'protocols'[0]", "JSON object"]),
@@ -681,6 +682,15 @@ class TestErrors:
         for name, tree in _src_modules(but="numerics.py"):
             lines = [node.lineno for node in ast.walk(tree) if _names(node) & fan_out]
             assert not lines, f"{name} uses {sorted(fan_out)} at lines {lines}; call numerics.run_split"
+
+    def test_src_decides_the_thread_count_only_in_numerics(self):
+        # `numerics.workers` decides W next to the fan-out that uses it; `__init__` reads the setting.
+        decides = {"ciso_threads", "sched_getaffinity", "cpu_count"}
+        for name, tree in _src_modules():
+            if name in ("numerics.py", "__init__.py"):
+                continue
+            lines = [node.lineno for node in ast.walk(tree) if _names(node) & decides]
+            assert not lines, f"{name} uses {sorted(decides)} at lines {lines}; call numerics.workers"
 
     def test_src_keeps_gradients_only_in_backward_maps(self):
         # Gradients live in the maps `numerics.backward` returns, which go to

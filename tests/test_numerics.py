@@ -3,6 +3,7 @@ import threading
 import weakref
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -649,6 +650,32 @@ class TestRunSplit:
         nm.run_split(0, 4, lambda i: pytest.fail(f"ran piece {i}"))
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("failing", [None, 2, 3])  # no piece, a piece of the caller's share, a worker's
+    def test_no_share_records_onto_the_callers_tape(self, failing):
+        x = nm.Tensor(np.ones(3), requires_grad=True)
+        lock = threading.Lock()
+        seen = []
+
+        def task(i):
+            recorded = nm.mul(x, 2.0).requires_grad  # True only while this thread has a live tape
+            with nm.Tape() as own:  # every share may open a tape of its own
+                nm.mul(x, 2.0)
+            with lock:
+                seen.append((threading.get_ident(), recorded, len(own)))
+            if i == failing:
+                raise RuntimeError(f"piece {i} failed")
+
+        with nm.Tape() as tape:
+            with pytest.raises(RuntimeError, match=f"piece {failing} failed") if failing else nullcontext():
+                nm.run_split(4, 2, task)
+            assert len(tape) == 0
+            assert nm.mul(x, 2.0).requires_grad  # the caller's tape is live again
+            assert len(tape) == 1
+        assert sorted(recorded for _, recorded, _ in seen) == [False] * 4
+        assert all(entries == 1 for _, _, entries in seen)
+        assert len({thread for thread, _, _ in seen}) == 2
+        assert threading.get_ident() in {thread for thread, _, _ in seen}
+
 
 class TestGradientMaps:
     def test_concurrent_tapes_sharing_parameters_match_serial(self):
@@ -713,7 +740,7 @@ class TestGradientMaps:
         env, y, codes, rates, mask = _ciso_batch(7, rows=7)
         sums = []
         for micro in (1, 2):
-            results = training._step(model, 2, micro, env, y, codes, rates, mask, np.random.default_rng(0))
+            results = training._step(model, micro, env, y, codes, rates, mask, np.random.default_rng(0))
             assert len(results) == micro
             summed = {name: sum(grads[p] for _, grads in results) for name, p in model.params.items()}
             sums.append((sum(v for v, _ in results), summed))
@@ -734,13 +761,24 @@ class TestGradientMaps:
         _cast_for_steps(model)
         self._micro_batch_sums(model, 1e-7)
 
+    def test_step_runs_while_the_caller_holds_a_tape(self):
+        # Each micro-batch opens a tape of its own, also the one on the caller's thread.
+        model = _ciso(dropout=0.2, seed=6)
+        env, y, codes, rates, mask = _ciso_batch(8, rows=9)
+        free = training._step(model, 2, env, y, codes, rates, mask, np.random.default_rng(0))
+        with nm.Tape() as tape:
+            held = training._step(model, 2, env, y, codes, rates, mask, np.random.default_rng(0))
+        assert len(tape) == 0
+        assert [v for v, _ in held] == [v for v, _ in free]
+        assert all(_same_bytes(a, b) for (_, a), (_, b) in zip(held, free))
+
     def test_ciso_step_grads_are_float32_and_match_a_float64_backward(self):
         model = _ciso(dropout=0.0, seed=6)
         batch = _ciso_batch(8, rows=9)
         env, y, codes, rates, mask = batch
         masters = _cast_for_steps(model)
         held = {name: p.values for name, p in model.params.items()}
-        results = training._step(model, 2, 2, env, y, codes, rates, mask, np.random.default_rng(0))
+        results = training._step(model, 2, env, y, codes, rates, mask, np.random.default_rng(0))
         # The step writes no parameter.
         assert all(model.params[name].values is values for name, values in held.items())
         for name, values in masters.items():
@@ -779,7 +817,7 @@ class TestGradientMaps:
         # With the batch's states, and with none: the forward's default rates.
         for states in ((codes, rates), (None, None)):
             seen.clear()
-            training._step(model, 1, 1, env, y, *states, mask, np.random.default_rng(0))
+            training._step(model, 1, env, y, *states, mask, np.random.default_rng(0))
             assert {"dropout", "gather_rows", "gelu", "softmax_rows"} <= {op for op, _, _ in seen}
             wide = [(op, str(dtype), [str(d) for d in ins]) for op, dtype, ins in seen
                     if dtype != np.float32 or any(d != np.float32 for d in ins)]

@@ -40,39 +40,65 @@ def tiny_config(**kw):
     return training.TrainConfig(**defaults)
 
 
+def sample_known_per_row(available, rng, cap_fraction=0.75):
+    """The draw `training.sample_known` made for one record before it drew a
+    batch: the record's revealed species indices."""
+    pool = np.flatnonzero(available)
+    k_max = min(int(np.floor(cap_fraction * available.size)), pool.size)
+    k = int(rng.integers(0, k_max + 1))
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    return rng.choice(pool, size=k, replace=False)
+
+
 class TestSampleKnown:
     def test_no_available_species_gives_empty_set(self):
         rng = np.random.default_rng(0)
-        assert training.sample_known(np.zeros(8, bool), rng).size == 0
+        known = training.sample_known(np.zeros((5, 8), bool), rng)
+        assert known.shape == (5, 8) and known.dtype == bool
+        assert not known.any()
 
     def test_cap_never_exceeded(self):
         rng = np.random.default_rng(1)
-        available = np.ones(4, bool)
-        ks = {training.sample_known(available, rng, 0.75).size for _ in range(300)}
+        ks = set(training.sample_known(np.ones((300, 4), bool), rng, 0.75).sum(axis=1))
         assert ks == {0, 1, 2, 3}  # floor(3/4 * 4) = 3, never 4
 
     def test_unavailable_never_sampled(self):
         rng = np.random.default_rng(2)
-        available = np.array([True, False, True, False, True])
-        for _ in range(200):
-            s = training.sample_known(available, rng)
-            assert all(available[i] for i in s)
+        available = np.tile([True, False, True, False, True], (200, 1))
+        available[100:] = rng.random((100, 5)) < 0.5
+        known = training.sample_known(available, rng)
+        assert not (known & ~available).any()
+        assert known.any()
 
     def test_k_uniform_and_membership_uniform(self):
         rng = np.random.default_rng(3)
-        available = np.ones(8, bool)
         draws = 100_000
-        k_counts = np.zeros(7, dtype=int)  # k in 0..6 (floor(6))
-        member_counts = np.zeros(8, dtype=int)
-        for _ in range(draws):
-            s = training.sample_known(available, rng, 0.75)
-            k_counts[s.size] += 1
-            member_counts[s] += 1
+        known = training.sample_known(np.ones((draws, 8), bool), rng, 0.75)
+        k_counts = np.bincount(known.sum(axis=1), minlength=7)  # k in 0..6 (floor(6))
+        assert k_counts.size == 7
         chi2 = scipy_stats.chisquare(k_counts)
         assert chi2.pvalue > 0.01
         # each species appears in C_known equally often
-        chi2m = scipy_stats.chisquare(member_counts)
+        chi2m = scipy_stats.chisquare(known.sum(axis=0))
         assert chi2m.pvalue > 0.01
+
+    @pytest.mark.parametrize("cap", [0.0, 0.75, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_batch_draw_matches_the_per_row_draw(self, seed, cap):
+        # Same masks and same generator calls, so checkpoints keep their bytes.
+        available = np.random.default_rng(100 + seed).random((40, 7)) < 0.6
+        available[::5] = False  # rows with no available species
+        available[1::5] = True
+        batch, per_row = np.random.default_rng(seed), np.random.default_rng(seed)
+        known = training.sample_known(available, batch, cap)
+        expected = np.zeros_like(available)
+        for i, row in enumerate(available):
+            expected[i, sample_known_per_row(row, per_row, cap)] = True
+        np.testing.assert_array_equal(known, expected)
+        assert batch.bit_generator.state == per_row.bit_generator.state
+        if cap > 0:
+            assert known.any()
 
 
 class TestTrainLoop:
@@ -224,7 +250,7 @@ class TestMaskIntegrity:
         env = ds.env[idx]
         y = ds.targets[idx]
         avail = ds.available[idx]
-        known = training._known_matrix(avail, rng, 0.75)
+        known = training.sample_known(avail, rng, 0.75)
         codes, rates = assign_states(y, avail, known, 1)
         loss_mask = avail & ~known
 
