@@ -6,7 +6,11 @@ built from such an array shares its memory, and `reshape`, `transpose` and
 a `k` transpose copies nothing. Ownership rule: a kernel writes only into
 arrays it allocated itself, never into an input's ``.values`` nor into the
 gradient ``g`` its backward rule receives; both may be shared with other
-tensors, with other tape entries, or with the caller's arrays.
+tensors, with other tape entries, or with the caller's arrays. The one
+writer into arrays it did not just allocate is `AdamW.step`, and it writes
+only the arrays the optimizer owns: its float64 masters and moments. A
+float64 parameter's ``.values`` is its master, so it changes in place on
+every step; a caller that keeps it across a step must copy it.
 
 Lifetime rule: the tape holds backward rules and graph links, not op
 outputs. Each rule captures only the arrays it reads, so an output lives
@@ -61,6 +65,14 @@ LAYER_NORM_EPS = 1e-5
 
 # A Python float, so that it takes the dtype of the array it scales.
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+# Elements per pass of `AdamW.step`'s in-place update. A chunk's six float64
+# slices (master, m, v, gradient, two scratch buffers) take 1.5 MiB, within
+# a 2 MiB per-core L2, so the update's ~15 passes read cache, not DRAM. On 2
+# vCPUs, one step over survey-join's mlp++ (431,560 parameters, 6 arrays)
+# took a median 4.9-5.7 ms at 32768, 4.9-5.8 at 65536, 5.3-6.2 at 16384 and
+# 6.6-7.1 as one chunk per array, against 8.7-9.7 ms out of place.
+ADAMW_CHUNK = 32768
 
 
 class Tensor:
@@ -590,10 +602,13 @@ class AdamW:
     """AdamW with bias correction and decoupled multiplicative weight decay.
 
     It owns the float64 master weights, `masters`: a parameter's own array
-    when it is float64, else a float64 copy, so a parameter may hold float32
-    values (mixed precision, Micikevicius et al., arXiv:1710.03740). Moments
-    start at zero; one step counter `t` serves all, as every parameter gets a
-    gradient every step.
+    when it is a C-contiguous float64 array, else a C-contiguous float64
+    copy, so a parameter may hold float32 values (mixed precision,
+    Micikevicius et al., arXiv:1710.03740). Masters and moments are the only
+    arrays `step` writes, in place; a float64 parameter's `.values` is
+    therefore rewritten on every step, and follows its master after it.
+    Moments start at zero; one step counter `t` serves all, as every
+    parameter gets a gradient every step.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -603,7 +618,8 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.masters = {name: p.values.astype(DTYPE, copy=False) for name, p in params.items()}
+        # C-contiguous, so that `reshape(-1)` in `step` is a view, not a copy.
+        self.masters = {name: np.asarray(p.values, dtype=DTYPE, order="C") for name, p in params.items()}
         self.state = {name: {"m": np.zeros_like(m), "v": np.zeros_like(m)} for name, m in self.masters.items()}
 
     def step(self, grads: Sequence[dict[Tensor, np.ndarray]]) -> None:
@@ -611,9 +627,12 @@ class AdamW:
         its entries, each upcast to float64, summed in map order (``g0 +
         g1``), each popped as it is read, so maps the caller still holds keep
         no gradient alive. A parameter in no map keeps its values and
-        moments. Moments and masters stay float64; each updated parameter
-        gets its master in its own dtype. A NaN or infinite gradient raises
-        ValueError naming its parameter before anything is written."""
+        moments. Moments and masters stay float64 and are updated in place,
+        ADAMW_CHUNK elements at a time, with the same expressions in the same
+        order as an out-of-place update, so the bits do not change; each
+        updated parameter then gets its master in its own dtype. A NaN or
+        infinite gradient raises ValueError naming its parameter before
+        anything is written."""
         summed = {}
         with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows raises ValueError below
             for name, p in self.params.items():
@@ -628,14 +647,37 @@ class AdamW:
                 if not np.isfinite(g).all():
                     raise ValueError(f"non-finite gradient for parameter '{name}'; aborting step")
         t = self.t = self.t + 1
+        b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        lr, decay = self.lr, self.lr * self.weight_decay
+        longest = max((g.size for g in summed.values()), default=0)
+        scratch = np.empty((2, min(longest, ADAMW_CHUNK)))
         for name, g in summed.items():
             st, p, master = self.state[name], self.params[name], self.masters[name]
-            st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * g
-            st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * (g * g)
-            m_hat = st["m"] / (1.0 - self.beta1**t)
-            v_hat = st["v"] / (1.0 - self.beta2**t)
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            master = self.masters[name] = master - self.lr * update - self.lr * self.weight_decay * master
+            flat = master.reshape(-1), st["m"].reshape(-1), st["v"].reshape(-1), g.reshape(-1)
+            for start in range(0, g.size, ADAMW_CHUNK):
+                w, m, v, gc = (x[start : start + ADAMW_CHUNK] for x in flat)
+                a, b = scratch[:, : gc.size]
+                # m = b1·m + (1 - b1)·g
+                m *= b1
+                np.multiply(gc, 1.0 - b1, out=a)
+                m += a
+                # v = b2·v + (1 - b2)·(g·g)
+                np.multiply(gc, gc, out=a)
+                a *= 1.0 - b2
+                v *= b2
+                v += a
+                # update = (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(m, c1, out=a)
+                np.divide(v, c2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                # master = master - lr·update - (lr·wd)·master
+                a *= lr
+                np.multiply(w, decay, out=b)
+                w -= a
+                w -= b
             p.values = master.astype(p.values.dtype, copy=False)
 
 

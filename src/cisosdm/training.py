@@ -295,10 +295,16 @@ def protocol_predictions(tm: TrainedModel, ds: Dataset, protocol: EvalProtocol) 
     """Prediction matrix for one protocol: (split record indices, (N, C) preds).
 
     Condition species are revealed at their true states wherever available.
-    A dataset without split tags raises ValueError.
+    A dataset without split tags, or whose protocol split holds no record,
+    raises ValueError.
     """
     condition, _ = protocol.resolve(ds)
     idx = ds.split_indices(protocol.split)
+    if idx.size == 0:
+        raise ValueError(
+            f"protocol '{protocol.name}': the dataset's '{protocol.split}' split is empty; "
+            "run `cisosdm prepare` to assign splits"
+        )
     return idx, _predict(tm, ds, idx, condition)
 
 

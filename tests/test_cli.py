@@ -474,6 +474,12 @@ class TestErrors:
         narrow = tmp_path / "narrow.csv"  # the same records without env_3 and env_4
         keep = [i for i, name in enumerate(header.split(",")) if name not in ("env_3", "env_4")]
         narrow.write_text("\n".join(",".join(line.split(",")[i] for i in keep) for line in [header, *rows]) + "\n")
+        no_test = tmp_path / "no_test.csv"  # the same records with the test split tagged val
+        split_col = header.split(",").index("split")
+        no_test.write_text("\n".join([header] + [
+            ",".join("val" if i == split_col and cell == "test" else cell for i, cell in enumerate(row.split(",")))
+            for row in rows
+        ]) + "\n")
         twice = tmp_path / "twice.json"
         twice.write_text('{"groups": {}, "groups": {"drivers": ["species_00"]}}', encoding="utf-8")
         # (command, config, fragments the error message must contain; "<config>" is the config's path)
@@ -589,6 +595,11 @@ class TestErrors:
             ("train", {"dataset": dataset, "dataset_config": str(twice)}, [str(twice), "repeats keys ['groups']"]),
             # A checkpoint scores only datasets with the env variables it was fitted on.
             ("eval", {**scored, "dataset": str(narrow)}, ["dataset has 3 env variables", "fitted on 5"]),
+            # A protocol's split must hold records: eval would fail in a metric, map would write a bare header.
+            ("eval", {**scored, "dataset": str(no_test)},
+             ["protocol 'unconditioned'", "'test' split is empty", "cisosdm prepare"]),
+            ("map", {**scored, "dataset": str(no_test), "protocol": {}},
+             ["protocol 'map'", "'test' split is empty", "cisosdm prepare"]),
         ]
         for k, (command, config, fragments) in enumerate(cases):
             cfg = tmp_path / f"bad{k}.json"
@@ -596,7 +607,7 @@ class TestErrors:
             rc = run_cli([command, "--config", str(cfg), "--out-dir", str(tmp_path / f"o{k}")])
             err = capsys.readouterr().err
             assert rc == 2, (command, config)
-            assert err.startswith("error:"), err
+            assert err.startswith("error:") and err.count("error:") == 1, err
             for fragment in fragments:
                 assert fragment.replace("<config>", str(cfg)) in err, (fragment, err)
 

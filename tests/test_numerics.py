@@ -1,5 +1,7 @@
+import json
 import sys
 import threading
+import tracemalloc
 import weakref
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cisosdm import models, numerics as nm, training
+from cisosdm import cli, models, numerics as nm, training
 from cisosdm.encoding import assign_states
 from fdcheck import check_gradients, fd_gradient, max_rel_err
 
@@ -428,6 +430,40 @@ def test_gather_rows_scatter_gradient():
     assert np.array_equal(grads[table], expected)
 
 
+def _reference_step(self, grads):
+    """`AdamW.step` with its update written out of place, one new array per
+    expression: the oracle for the in-place, chunked update's bits."""
+    summed = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in self.params.items():
+            parts = [held.pop(p) for held in grads if p in held]
+            if not parts:
+                continue
+            g = summed[name] = parts[0].astype(np.float64, copy=len(parts) > 1)
+            for part in parts[1:]:
+                g += part
+            if not np.isfinite(g).all():
+                raise ValueError(f"non-finite gradient for parameter '{name}'; aborting step")
+    t = self.t = self.t + 1
+    for name, g in summed.items():
+        st, p, master = self.state[name], self.params[name], self.masters[name]
+        st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * g
+        st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * (g * g)
+        m_hat = st["m"] / (1.0 - self.beta1**t)
+        v_hat = st["v"] / (1.0 - self.beta2**t)
+        update = m_hat / (np.sqrt(v_hat) + self.eps)
+        master = self.masters[name] = master - self.lr * update - self.lr * self.weight_decay * master
+        p.values = master.astype(p.values.dtype, copy=False)
+
+
+def _optimizer_bytes(opt) -> dict:
+    return {
+        name: (p.values.dtype, p.values.tobytes(), opt.masters[name].tobytes(),
+               opt.state[name]["m"].tobytes(), opt.state[name]["v"].tobytes())
+        for name, p in opt.params.items()
+    }
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_keeps_params(self):
         p = nm.Tensor([1.0, -2.0], requires_grad=True, name="p")
@@ -477,6 +513,82 @@ class TestAdamW:
         assert opt.masters["p"] is p.values
         opt.step([{p: np.array([0.5, 0.5])}])
         assert opt.masters["p"] is p.values
+
+    def test_non_contiguous_float64_parameter_gets_a_contiguous_master(self):
+        rng = np.random.default_rng(12)
+        start = rng.normal(size=(3, 4))
+        grads = [rng.normal(size=(3, 4)).T for _ in range(3)]  # non-contiguous (4, 3) views
+        given = start.copy()
+        p = nm.Tensor(start.T, requires_grad=True, name="p")
+        assert not p.values.flags.c_contiguous
+        opt = nm.AdamW({"p": p}, lr=0.1)
+        reference = nm.Tensor(start.T.copy(), requires_grad=True, name="p")
+        ref_opt = nm.AdamW({"p": reference}, lr=0.1)
+        arrays = (opt.masters["p"], opt.state["p"]["m"], opt.state["p"]["v"])
+        assert all(a.flags.c_contiguous for a in arrays) and opt.masters["p"] is not p.values
+        for g in grads:
+            opt.step([{p: g}])
+            _reference_step(ref_opt, [{reference: g.copy()}])
+            # Written in place, and the parameter follows its master.
+            assert all(a is b for a, b in zip(arrays, (opt.masters["p"], opt.state["p"]["m"], opt.state["p"]["v"])))
+            assert p.values is opt.masters["p"] and p.values.shape == (4, 3)
+            assert _optimizer_bytes(opt) == _optimizer_bytes(ref_opt)
+        assert np.array_equal(start, given)  # the caller's array is not written
+
+    @pytest.mark.parametrize("maps", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("size", [1, nm.ADAMW_CHUNK - 1, nm.ADAMW_CHUNK, nm.ADAMW_CHUNK + 1, 3 * nm.ADAMW_CHUNK + 7])
+    def test_step_matches_the_out_of_place_update_bit_for_bit(self, size, dtype, maps):
+        rng = np.random.default_rng(size)
+        # A second, small parameter shares the scratch buffers sized by the first.
+        starts = {"p": rng.normal(size=(size, 1)), "q": rng.normal(size=(2, 3))}
+        runs = []
+        for step in (nm.AdamW.step, _reference_step):
+            params = {name: nm.Tensor(v.copy(), requires_grad=True, name=name) for name, v in starts.items()}
+            opt = nm.AdamW(params, lr=0.05, weight_decay=0.1)
+            for p in params.values():  # as `training.train` casts a model
+                p.values = p.values.astype(dtype)
+            grad_rng = np.random.default_rng(size + 1)
+            for _ in range(5):
+                step(opt, [
+                    {p: grad_rng.normal(size=p.shape).astype(dtype) for p in params.values()} for _ in range(maps)
+                ])
+            runs.append(_optimizer_bytes(opt))
+        assert runs[0] == runs[1]
+        assert all(entry[0] == dtype for entry in runs[0].values())
+
+    def test_step_peaks_below_the_size_of_its_parameter(self):
+        p = nm.Tensor(np.random.default_rng(13).normal(size=(1227, 256)), requires_grad=True, name="p")
+        opt = nm.AdamW({"p": p}, lr=0.01)
+        grads = [{p: np.random.default_rng(14).normal(size=p.shape)}]
+        tracemalloc.start()
+        try:
+            opt.step(grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The out-of-place update peaked at 16.8 MiB here, the chunked one at about 0.5 MiB.
+        assert peak < p.values.nbytes, (peak, p.values.nbytes)
+
+    @pytest.mark.parametrize("family", ["linear", "maxent", "mlp", "mlp++", "ciso"])
+    def test_training_writes_the_out_of_place_update_bytes(self, family, tmp_path, monkeypatch):
+        synth = tmp_path / "synth.json"
+        synth.write_text('{"n_species": 6, "n_env": 3, "n_locations": 200}', encoding="utf-8")
+        assert cli.main(["synth", "--config", str(synth), "--out-dir", str(tmp_path / "data"), "--seed", "3"]) == 0
+        # hidden_dim 192 gives mlp and mlp++ a (192, 192) weight: two chunks.
+        hyper = {"hidden_dim": 8, "heads": 2, "transformer_layers": 1} if family == "ciso" else {"hidden_dim": 192}
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({
+            "dataset": str(tmp_path / "data" / "dataset.csv"), "family": family, "hyperparams": hyper,
+            "train": {"epochs": 2, "batch_size": 64, "n_b": 2},
+        }), encoding="utf-8")
+        outputs = []
+        for step in (nm.AdamW.step, _reference_step):
+            monkeypatch.setattr(nm.AdamW, "step", step)
+            out = tmp_path / f"run{len(outputs)}"
+            assert cli.main(["train", "--config", str(config), "--out-dir", str(out), "--seed", "1"]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("checkpoint.ckpt", "history.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_float32_parameters_follow_float64_masters_bit_for_bit(self):
         rng = np.random.default_rng(11)
